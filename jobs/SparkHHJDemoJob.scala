@@ -7,9 +7,10 @@ import repro.core.hhj.{HHJConfig, PartitionRule}
 import repro.spark.{HHJStrategy, HHJoin, LastStats}
 
 /** End-to-end Spark demo of the Dynamic HHJ operator: runs
-  * lineitem ⋈ orders at a configurable scale factor through (1) the
-  * explicit [[HHJoin]] API and (2) the Catalyst [[HHJStrategy]], printing
-  * row counts and in-operator spill volume.
+  * lineitem ⋈ orders at a configurable scale factor through its two
+  * front-ends, (1) the explicit [[HHJoin]] API and (2) a plain `df.join`
+  * under the Catalyst [[HHJStrategy]]. Both plan the same
+  * `DynamicHHJExec`; the job prints row counts and in-operator spill volume.
   *
   *   spark-submit --class repro.jobs.SparkHHJDemoJob <jar> [scaleFactor]
   */
@@ -40,7 +41,7 @@ object SparkHHJDemoJob {
     println(f"via HHJStrategy: $sqlCount rows, in-operator spill ${LastStats.spillBytes.get / 1048576.0}%.1f MB")
     HHJStrategy.uninstall(spark)
 
-    require(apiCount == sqlCount, "both paths must agree")
+    require(apiCount == sqlCount, "both front-ends must agree")
     spark.stop()
   }
 }

@@ -28,10 +28,11 @@ import repro.core.spill.{DiskSpillStore, Serde}
   * Plug in via [[HHJStrategy]]:
   * `spark.experimental.extraStrategies = Seq(HHJStrategy(cfg))` — after
   * which plain `df.join(df2, ...)` / SQL inner equi-joins execute through
-  * the Dynamic HHJ engine.
+  * the Dynamic HHJ engine. [[HHJoin.join]] plans a single join into it.
   *
   * The probe side is `left`, the build side `right` (AsterixDB's FROM-clause
-  * convention, paper §2.2).
+  * convention, paper §2.2). `requiredNumPartitions` overrides the
+  * exchanges' partition count.
   */
 case class DynamicHHJExec(
     leftKeys: Seq[Expression],
@@ -39,12 +40,13 @@ case class DynamicHHJExec(
     cfg: HHJConfig,
     left: SparkPlan,
     right: SparkPlan,
+    requiredNumPartitions: Option[Int] = None,
 ) extends BinaryExecNode {
 
   override def output: Seq[Attribute] = left.output ++ right.output
 
   override def requiredChildDistribution: Seq[Distribution] =
-    ClusteredDistribution(leftKeys) :: ClusteredDistribution(rightKeys) :: Nil
+    Seq(leftKeys, rightKeys).map(ClusteredDistribution(_, requiredNumPartitions = requiredNumPartitions))
 
   override protected def withNewChildrenInternal(newLeft: SparkPlan, newRight: SparkPlan): DynamicHHJExec =
     copy(left = newLeft, right = newRight)
@@ -85,7 +87,7 @@ case class DynamicHHJExec(
         }
 
       val dir    = Files.createTempDirectory("hhj-exec-spill").toFile
-      val store  = new DiskSpillStore[UnsafeRow](dir, new UnsafeRowSerde(rOutput.size max lOutput.size))
+      val store  = new DiskSpillStore[UnsafeRow](dir, UnsafeRowSerde)
       val out    = ArrayBuffer.empty[InternalRow]
       val joined = new JoinedRow
       // Downstream operators (shuffle writers in particular) require
@@ -116,7 +118,7 @@ case class DynamicHHJExec(
 /** Serde spilling `UnsafeRow`s byte-for-byte. The field count differs
   * between build and probe rows, so it is written per record.
   */
-private final class UnsafeRowSerde(maxFields: Int) extends Serde[UnsafeRow] {
+private object UnsafeRowSerde extends Serde[UnsafeRow] {
   def write(r: UnsafeRow, out: DataOutputStream): Unit = {
     out.writeInt(r.numFields())
     val bytes = r.getBytes

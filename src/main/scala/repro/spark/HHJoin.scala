@@ -1,32 +1,17 @@
 package repro.spark
 
-import java.io.{DataInputStream, DataOutputStream}
-import java.nio.file.Files
+import org.apache.spark.sql.{classic, DataFrame, Encoders, Row}
+import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeSet}
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, UnaryNode}
+import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy}
 
-import scala.collection.mutable.ArrayBuffer
+import repro.core.hhj.{HHJConfig, HHJStats}
 
-import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types.StructType
-
-import repro.core.frames.JoinRec
-import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats}
-import repro.core.spill.{DiskSpillStore, Serde}
-
-/** Dynamic Hybrid Hash Join as a Spark operator.
-  *
-  * Per the reproduction plan (DESIGN.md): both inputs are keyed on their
-  * join attributes, hash-co-partitioned with one `HashPartitioner`, and
-  * `zipPartitions` runs one instance of the paper's operator
-  * ([[repro.core.hhj.DynamicHHJ]]) per Spark partition inside the executor —
-  * each with its own frame budget and a real on-disk spill store, exactly
-  * like one AsterixDB node partition. DataFrames in, DataFrame out.
-  *
-  * Join semantics: inner equi-join. Following AsterixDB's FROM-clause rule
-  * (§2.2: the first input is the probe side), `left` probes and `right`
-  * builds. Matching inside the operator is on a 64-bit key hash and is
-  * re-verified against the real key values before a row is emitted, so hash
-  * collisions cannot produce wrong results.
+/** Dynamic Hybrid Hash Join as an explicit DataFrame operation: `join`
+  * returns an inner equi-join planned into [[DynamicHHJExec]] with the given
+  * configuration, whichever strategies the session holds when it is planned.
+  * Following AsterixDB's FROM-clause rule (§2.2: the first input is the
+  * probe side), `left` probes and `right` builds.
   */
 object HHJoin {
 
@@ -47,149 +32,41 @@ object HHJoin {
       numPartitions: Int = 0,
   ): DataFrame = {
     require(leftKeys.nonEmpty && leftKeys.size == rightKeys.size, "key lists must match positionally")
-    val spark = left.sparkSession
-    val n =
-      if (numPartitions > 0) numPartitions
-      else spark.sessionState.conf.numShufflePartitions
-
-    val lIdx = leftKeys.map(left.schema.fieldIndex).toArray
-    val rIdx = rightKeys.map(right.schema.fieldIndex).toArray
-
-    val partitioner = new HashPartitioner(n)
-    // Null join keys never match in an equi-join: drop them before routing.
-    val lkv = left.rdd
-      .flatMap(r => keyHash(r, lIdx).map(h => (h, r)))
-      .partitionBy(partitioner)
-    val rkv = right.rdd
-      .flatMap(r => keyHash(r, rIdx).map(h => (h, r)))
-      .partitionBy(partitioner)
-
-    val outSchema = StructType(left.schema.fields ++ right.schema.fields)
-    val joined = lkv.zipPartitions(rkv, preservesPartitioning = false) { (probeIt, buildIt) =>
-      joinPartition(buildIt, probeIt, rIdx, lIdx, cfg)
+    val cond    = leftKeys.zip(rightKeys).map { case (l, r) => left(l) === right(r) }.reduce(_ && _)
+    val joined  = left.join(right, cond)
+    val session = joined.queryExecution.sparkSession
+    // The strategy carries no config, so installing it once per session is
+    // enough and `HHJStrategy.uninstall` leaves it in place.
+    session.synchronized {
+      val ss = session.experimental.extraStrategies
+      if (!ss.contains(PlanHHJoin)) session.experimental.extraStrategies = ss :+ PlanHHJoin
     }
-    spark.createDataFrame(joined, outSchema)
+    val plan = HHJoinNode(cfg, Some(numPartitions).filter(_ > 0), joined.queryExecution.analyzed)
+    new classic.Dataset[Row](session, plan, Encoders.row(joined.schema))
   }
+}
 
-  /** One task's join: the paper's operator over this co-partition pair.
-    * Returns output rows as probeFields ++ buildFields reordered to
-    * (left ++ right).
-    */
-  private def joinPartition(
-      buildIt: Iterator[(Long, Row)],
-      probeIt: Iterator[(Long, Row)],
-      buildKeyIdx: Array[Int],
-      probeKeyIdx: Array[Int],
-      cfg: HHJConfig,
-  ): Iterator[Row] = {
-    val dir   = Files.createTempDirectory("hhj-spill").toFile
-    val store = new DiskSpillStore[Row](dir, RowSerde)
-    val out   = ArrayBuffer.empty[Row]
-    try {
-      val stats: HHJStats = DynamicHHJ.join(
-        buildIt.map { case (k, row) => JoinRec(k, rowSizeEstimate(row, cfg.frameSize), row) },
-        probeIt.map { case (k, row) => JoinRec(k, rowSizeEstimate(row, cfg.frameSize), row) },
-        cfg,
-        store,
-        (b: JoinRec[Row], p: JoinRec[Row]) =>
-          if (keysEqual(b.payload, buildKeyIdx, p.payload, probeKeyIdx))
-            out += Row.fromSeq(p.payload.toSeq ++ b.payload.toSeq),
-      )
-      LastStats.set(stats)
-    } finally {
-      store.close()
-      dir.delete(): Unit
-    }
-    out.iterator
-  }
+/** Marks a join that [[HHJoin.join]] asked to run with `cfg`. */
+private case class HHJoinNode(cfg: HHJConfig, numPartitions: Option[Int], child: LogicalPlan) extends UnaryNode {
+  override def output: Seq[Attribute] = child.output
+  // Claiming every child column keeps ColumnPruning from putting a Project
+  // between this node and the join it marks.
+  override def references: AttributeSet = child.outputSet
+  override protected def withNewChildInternal(newChild: LogicalPlan): HHJoinNode = copy(child = newChild)
+}
 
-  /** 64-bit key hash, canonicalized so e.g. Int 5 and Long 5 collide (they
-    * are then verified equal). None for rows with any null key.
-    */
-  private[spark] def keyHash(r: Row, idx: Array[Int]): Option[Long] = {
-    var h = 0x9E3779B97F4A7C15L
-    var i = 0
-    while (i < idx.length) {
-      val v = r.get(idx(i))
-      if (v == null) return None
-      h = scala.util.hashing.byteswap64(h ^ canonical(v))
-      i += 1
-    }
-    Some(h)
-  }
-
-  private def canonical(v: Any): Long = v match {
-    case l: Long                 => l
-    case i: Int                  => i.toLong
-    case s: Short                => s.toLong
-    case b: Byte                 => b.toLong
-    case d: java.sql.Date        => d.toLocalDate.toEpochDay
-    case d: java.time.LocalDate  => d.toEpochDay
-    case other                   => other.hashCode.toLong
-  }
-
-  /** Exact key equality check applied on emit (collision filter). */
-  private[spark] def keysEqual(b: Row, bIdx: Array[Int], p: Row, pIdx: Array[Int]): Boolean = {
-    var i = 0
-    while (i < bIdx.length) {
-      val x = b.get(bIdx(i)); val y = p.get(pIdx(i))
-      val eq = (x, y) match {
-        case (a: Number, c: Number)
-            if isIntegral(a) && isIntegral(c)    => a.longValue == c.longValue
-        case (a: Number, c: Number)              => a.doubleValue == c.doubleValue
-        case (a: java.sql.Date, c: java.sql.Date) => a.toLocalDate == c.toLocalDate
-        case _                                   => x == y
+/** Plans an [[HHJoinNode]] as [[HHJStrategy]] would with its config. When the
+  * optimizer has rewritten the join away (an input known to be empty, say),
+  * the rewritten plan runs through Spark's own operators.
+  */
+private object PlanHHJoin extends SparkStrategy {
+  def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
+    case HHJoinNode(cfg, n, join) =>
+      HHJStrategy(cfg)(join) match {
+        case Seq(exec: DynamicHHJExec) => exec.copy(requiredNumPartitions = n) :: Nil
+        case _                         => planLater(join) :: Nil
       }
-      if (!eq) return false
-      i += 1
-    }
-    true
-  }
-
-  private def isIntegral(n: Number): Boolean =
-    n.isInstanceOf[java.lang.Long] || n.isInstanceOf[java.lang.Integer] ||
-      n.isInstanceOf[java.lang.Short] || n.isInstanceOf[java.lang.Byte]
-
-  /** Declared in-frame size of a row: a flat estimate of its field widths.
-    * Used for frame-occupancy accounting; spilled bytes are the serialized
-    * form. Clamped to the frame size so an outsized row degrades to
-    * one-row-per-frame instead of failing the operator.
-    */
-  private[spark] def rowSizeEstimate(r: Row, frameSize: Int): Int = {
-    var s = 16
-    var i = 0
-    while (i < r.length) {
-      s += (r.get(i) match {
-        case null          => 4
-        case v: String     => 8 + 2 * v.length
-        case _: java.lang.Double | _: java.lang.Long => 8
-        case _             => 8
-      })
-      i += 1
-    }
-    math.min(s, frameSize)
-  }
-
-  /** Serde for spilled rows: java-serializes only the value array (the
-    * operator accesses fields by index, so the schema need not travel with
-    * every record).
-    */
-  private object RowSerde extends Serde[Row] {
-    def write(r: Row, out: DataOutputStream): Unit = {
-      val bos = new java.io.ByteArrayOutputStream()
-      val oos = new java.io.ObjectOutputStream(bos)
-      oos.writeObject(r.toSeq.toArray); oos.close()
-      val b = bos.toByteArray
-      out.writeInt(b.length); out.write(b)
-    }
-    def read(in: DataInputStream): Row = {
-      val n = in.readInt()
-      val b = new Array[Byte](n)
-      in.readFully(b)
-      val values =
-        new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(b)).readObject().asInstanceOf[Array[Any]]
-      Row.fromSeq(scala.collection.immutable.ArraySeq.unsafeWrapArray(values))
-    }
+    case _ => Nil
   }
 }
 

@@ -1,6 +1,8 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.types._
 
 import repro.{Oracle, SparkSpec, SynthData}
@@ -10,10 +12,10 @@ import repro.core.insertion.{BestFit, FirstFit}
 import repro.core.victim.{SmallestSize, VictimPolicy}
 
 /** DuckDB-oracle correctness tests of the Spark-side Dynamic HHJ operator
-  * ([[HHJoin]]) on TPC-H-lite inputs, including configurations that force
+  * through [[HHJoin]] on TPC-H-lite inputs, including configurations that force
   * spilling and multi-round recursion inside every Spark partition.
   */
-class HHJoinSpec extends SparkSpec {
+class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   /** SELECT list that re-types the oracle's VARCHAR columns to match Spark's
     * row types (numerics cast; dates/strings compared as text).
@@ -98,6 +100,40 @@ class HHJoinSpec extends SparkSpec {
       .selectExpr("k + 1000 AS bk", "v AS bv")
     val joined = HHJoin.join(a, b, Seq("k"), Seq("bk"), tinyCfg, numPartitions = 4)
     assert(joined.count() == 0)
+    // An input the optimizer knows is empty removes the join from the plan.
+    assert(HHJoin.join(a.limit(0), b, Seq("k"), Seq("bk"), tinyCfg, numPartitions = 4).count() == 0)
+  }
+
+  test("NaN, -0.0 and INT-vs-BIGINT keys match Spark's own join") {
+    // -0.0D, not CAST(-0.0 AS DOUBLE), which parses as a decimal and yields +0.0.
+    val d1 = spark.sql("SELECT * FROM VALUES (CAST('NaN' AS DOUBLE), 1), (-0.0D, 2), (1.5D, 3) AS t(k, av)")
+    val d2 = spark.sql("SELECT * FROM VALUES (CAST('NaN' AS DOUBLE), 1), (0.0D, 2), (1.5D, 3) AS t(bk, bv)")
+    val i1 = spark.range(100).selectExpr("CAST(id AS INT) AS k", "id AS av")
+    val i2 = spark.range(50, 150).selectExpr("id AS bk", "id AS bv")
+    def sorted(df: DataFrame): Seq[Row] = df.collect().toSeq.sortBy(_.toString)
+    for ((a, b, rows) <- Seq((d1, d2, 3), (i1, i2, 50))) {
+      val expected = sorted(a.join(b, a("k") === b("bk")))
+      assert(expected.size == rows)
+      assert(sorted(HHJoin.join(a, b, Seq("k"), Seq("bk"), amplecfg, numPartitions = 4)) == expected)
+    }
+  }
+
+  test("HHJoin.join plans its own config and partition count whatever strategy is installed") {
+    val a    = SynthData.uniformKeys(spark, rows = 2000, nKeys = 100, seed = 5)
+    val b    = SynthData.uniformKeys(spark, rows = 500, nKeys = 100, seed = 6).selectExpr("k AS bk", "v AS bv")
+    val cfgB = amplecfg
+    // perfbench's HHJoin.join path changes the installed strategy between
+    // building the DataFrame and planning it.
+    HHJStrategy.install(spark, tinyCfg)
+    val joined =
+      try HHJoin.join(a, b, Seq("k"), Seq("bk"), cfgB, numPartitions = 4)
+      finally HHJStrategy.uninstall(spark)
+    joined.collect()
+    val plan = joined.queryExecution.executedPlan
+    val cfgs = collect(plan) { case e: DynamicHHJExec => e.cfg }
+    assert(cfgs.size == 1 && (cfgs.head eq cfgB), s"expected one DynamicHHJExec with the join's config:\n$plan")
+    val exchanges = collect(plan) { case e: ShuffleExchangeLike => e.numPartitions }
+    assert(exchanges == Seq(4, 4), s"expected two 4-partition exchanges:\n$plan")
   }
 
   test("null join keys never match (inner-join semantics, as in DuckDB)") {
@@ -130,8 +166,10 @@ class HHJoinSpec extends SparkSpec {
   }
 
   test("single hot key across partitions (bail-out path) matches DuckDB") {
-    val a = spark.range(3000).selectExpr("CAST(1 AS BIGINT) AS k", "id AS av")
-    val b = spark.range(500).selectExpr("CAST(1 AS BIGINT) AS bk", "id AS bv")
+    // `id % 1 + 1` is 1 on every row but, unlike a literal, is not folded:
+    // keys 1 = 1 would leave the optimized join without equi-join keys.
+    val a = spark.range(3000).selectExpr("id % 1 + 1 AS k", "id AS av")
+    val b = spark.range(500).selectExpr("id % 1 + 1 AS bk", "id AS bv")
     LastStats.reset()
     val joined = HHJoin.join(
       a, b, Seq("k"), Seq("bk"),
