@@ -89,8 +89,6 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
 
   def bytesInMemory: Long   = memBytes
   def recordsInMemory: Long = memRecs
-  def totalBytes: Long      = memBytes + spilledBytes
-  def totalRecords: Long    = memRecs + spilledRecs
 
   /** Total free bytes across in-memory frames (fragmentation measure). */
   def freeBytesInFrames: Long = {

@@ -33,18 +33,64 @@ object DynamicHHJ {
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): HHJStats = {
     val stats = new HHJStats
-    val p1    = math.min(cfg.partitionRule.firstRound, cfg.memoryFrames - 1)
-    val pairs = runRound(build, probe, p1, depth = 0, totalBuildBytes = None, cfg, store, stats, emit)
-    pairs.foreach { case (bf, pf, roundBuildBytes) =>
-      processPair(bf, pf, parentBuildBytes = roundBuildBytes, depth = 1, cfg, store, stats, emit)
-    }
+    val pairs = runRound(build, probe, cfg.partitionRule.firstRound, depth = 0, None, cfg, store, stats, emit)
+    pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth = 1, cfg, store, stats, emit) }
     stats
+  }
+
+  // ------------------------------------------------------------------
+  // Hash table and the block join over a spilled file pair
+  // ------------------------------------------------------------------
+
+  /** Build records indexed by their 64-bit key: one buffer per distinct key. */
+  private final class HashTable[T] {
+    private val byKey = new mutable.LongMap[ArrayBuffer[JoinRec[T]]]()
+
+    def add(r: JoinRec[T]): Unit = byKey.getOrElseUpdate(r.key, new ArrayBuffer[JoinRec[T]](1)) += r
+
+    /** Emits `(buildRec, r)` for every build record with `r`'s key. */
+    def probe(r: JoinRec[T], stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
+      val bs = byKey.getOrNull(r.key)
+      if (bs != null) {
+        var i = 0
+        while (i < bs.size) { stats.outputRecords += 1; emit(bs(i), r); i += 1 }
+      }
+    }
+  }
+
+  /** Joins a file pair by loading the build side `blockBytes` (declared
+    * bytes) at a time into a hash table and re-scanning the probe side once
+    * per block: §8.3's in-memory join is one unbounded block, §8.1's block
+    * nested loop join uses blocks of M-1 frames.
+    */
+  private def blockJoin[T](
+      b: SpillFile[T],
+      p: SpillFile[T],
+      blockBytes: Long,
+      stats: HHJStats,
+      emit: (JoinRec[T], JoinRec[T]) => Unit,
+  ): Unit = {
+    val bIt = b.readAll()
+    stats.io.noteRead(b.frames, b.bytes)
+    while (bIt.hasNext) {
+      val table = new HashTable[T]
+      var load  = 0L
+      while (bIt.hasNext && load < blockBytes) {
+        val r = bIt.next()
+        stats.buildRecordsProcessed += 1
+        load += r.size
+        table.add(r)
+      }
+      stats.io.noteRead(p.frames, p.bytes)
+      p.readAll().foreach { r => stats.probeRecordsProcessed += 1; table.probe(r, stats, emit) }
+    }
   }
 
   // ------------------------------------------------------------------
   // Recursion over spilled (build, probe) file pairs
   // ------------------------------------------------------------------
 
+  /** Joins one spilled pair; both files hold records (see `runRound`). */
   private def processPair[T](
       buildFile: SpillFile[T],
       probeFile: SpillFile[T],
@@ -56,103 +102,33 @@ object DynamicHHJ {
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): Unit = {
     stats.maxDepthReached = math.max(stats.maxDepthReached, depth)
-    var b = buildFile
-    var p = probeFile
-    if (b.records == 0 || p.records == 0) { b.delete(); p.delete(); return }
-
     // §8.2 role reversal: sizes are known now; the smaller side builds. The
     // caller's emit contract is (originalBuildRec, originalProbeRec), so a
     // reversal must re-orient the callback for everything below this point.
-    var em = emit
-    if (cfg.roleReversal && p.bytes < b.bytes) {
-      val t = b; b = p; p = t; stats.roleReversals += 1
-      val prev = em
-      em = (x: JoinRec[T], y: JoinRec[T]) => prev(y, x)
-    }
+    val reverse = cfg.roleReversal && probeFile.bytes < buildFile.bytes
+    val (b, p)  = if (reverse) (probeFile, buildFile) else (buildFile, probeFile)
+    val em      = if (reverse) (x: JoinRec[T], y: JoinRec[T]) => emit(y, x) else emit
+    if (reverse) stats.roleReversals += 1
 
     val memBytes = cfg.memoryFrames.toLong * cfg.frameSize
+    var pairs    = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
     if (cfg.inMemoryHashJoin && b.bytes * cfg.memFudge <= memBytes) {
       // §8.3: skip partitioning, hash-join directly in memory.
-      inMemoryHashJoin(b, p, stats, em)
+      stats.inMemoryRounds += 1
+      blockJoin(b, p, Long.MaxValue, stats, em)
     } else if (depth >= cfg.maxDepth || b.bytes > (1.0 - cfg.bailOutShrinkage) * parentBuildBytes) {
       // §8.1 bail-out: hashing is not shrinking the input — the join
       // attribute is pathologically skewed. Fall back to BNLJ.
-      blockNestedLoopJoin(b, p, cfg, stats, em)
+      stats.bnljRounds += 1
+      blockJoin(b, p, (cfg.memoryFrames - 1).toLong * cfg.frameSize, stats, em)
     } else {
       val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize, cfg.eq2Fudge)
       stats.io.noteRead(b.frames, b.bytes)
       stats.io.noteRead(p.frames, p.bytes)
-      val pairs =
-        runRound(b.readAll(), p.readAll(), numP, depth, Some(b.bytes), cfg, store, stats, em)
-      val thisBuildBytes = b.bytes
-      b.delete(); p.delete()
-      pairs.foreach { case (bf, pf, _) =>
-        processPair(bf, pf, parentBuildBytes = thisBuildBytes, depth + 1, cfg, store, stats, em)
-      }
-      return
+      pairs = runRound(b.readAll(), p.readAll(), numP, depth, Some(b.bytes), cfg, store, stats, em)
     }
     b.delete(); p.delete()
-  }
-
-  /** §8.3: build side fits in memory — build the hash table directly. */
-  private def inMemoryHashJoin[T](
-      b: SpillFile[T],
-      p: SpillFile[T],
-      stats: HHJStats,
-      emit: (JoinRec[T], JoinRec[T]) => Unit,
-  ): Unit = {
-    stats.inMemoryRounds += 1
-    stats.io.noteRead(b.frames, b.bytes)
-    stats.io.noteRead(p.frames, p.bytes)
-    val table = new mutable.LongMap[ArrayBuffer[JoinRec[T]]]()
-    b.readAll().foreach { r =>
-      stats.buildRecordsProcessed += 1
-      table.getOrElseUpdate(r.key, new ArrayBuffer[JoinRec[T]](1)) += r
-    }
-    p.readAll().foreach { r =>
-      stats.probeRecordsProcessed += 1
-      table.get(r.key).foreach { bs =>
-        var i = 0
-        while (i < bs.size) { stats.outputRecords += 1; emit(bs(i), r); i += 1 }
-      }
-    }
-  }
-
-  /** §8.1 bail-out target: block nested loop join over the file pair. Loads
-    * the build side block-by-block (M-1 frames of declared bytes) and
-    * re-scans the probe side once per block.
-    */
-  private def blockNestedLoopJoin[T](
-      b: SpillFile[T],
-      p: SpillFile[T],
-      cfg: HHJConfig,
-      stats: HHJStats,
-      emit: (JoinRec[T], JoinRec[T]) => Unit,
-  ): Unit = {
-    stats.bnljRounds += 1
-    val blockBytes = (cfg.memoryFrames - 1).toLong * cfg.frameSize
-    val bIt        = b.readAll()
-    stats.io.noteRead(b.frames, b.bytes)
-    while (bIt.hasNext) {
-      // Load one block of the build side.
-      val table = new mutable.LongMap[ArrayBuffer[JoinRec[T]]]()
-      var load  = 0L
-      while (bIt.hasNext && load < blockBytes) {
-        val r = bIt.next()
-        stats.buildRecordsProcessed += 1
-        load += r.size
-        table.getOrElseUpdate(r.key, new ArrayBuffer[JoinRec[T]](1)) += r
-      }
-      // One full probe pass per block.
-      stats.io.noteRead(p.frames, p.bytes)
-      p.readAll().foreach { r =>
-        stats.probeRecordsProcessed += 1
-        table.get(r.key).foreach { bs =>
-          var i = 0
-          while (i < bs.size) { stats.outputRecords += 1; emit(bs(i), r); i += 1 }
-        }
-      }
-    }
+    pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth + 1, cfg, store, stats, em) }
   }
 
   // ------------------------------------------------------------------
@@ -187,45 +163,25 @@ object DynamicHHJ {
     var consumed   = 0L // build bytes read so far (Best-Match context)
     var roundBuild = 0L
 
-    def buildFile(pid: Int): SpillFile[T] = {
-      if (buildFiles(pid) == null) buildFiles(pid) = store.newFile(s"d$depth-p$pid-build")
-      buildFiles(pid)
-    }
-
-    def noteBuildWrite(bytes: Long, nFrames: Long): Unit = {
-      stats.io.noteWrite(nFrames, bytes)
-      stats.buildIo.noteWrite(nFrames, bytes)
-      stats.buildSpillBytes += bytes
-      if (depth == 0) stats.round1BuildSpillBytes += bytes
-    }
-
-    /** Spill a memory-resident partition: all frames out in one sequential
-      * write, frames returned to the pool.
+    /** Write a partition's in-memory frames, then `extra` records, to its
+      * build file as one write, and return the frames to the pool. Spilling
+      * a victim, a G-S steal, an NG-NS buffer flush, the end-of-build drain
+      * and a §8.5 reload abort are all this one step.
       */
-    def spillPartition(p: PartitionState[T]): Unit = {
-      val n     = p.frames.size
-      val bytes = p.bytesInMemory
-      val recs  = p.recordsInMemory
-      buildFile(p.id).append(p.frames.iterator.flatMap(_.records.iterator), n.toLong)
-      noteBuildWrite(bytes, n.toLong)
-      p.noteFlushed(bytes, recs, n.toLong)
-      pool.release(p.dropAllFrames())
-      p.spilled = true
-      numSpilled += 1
-      stats.victimSpills += 1
-    }
-
-    /** Flush a spilled partition's accumulated in-memory frames (G-S steal,
-      * NG-NS buffer flush, end-of-build drain).
-      */
-    def flushSpilled(p: PartitionState[T]): Unit = {
-      val n = p.frames.size
-      if (n == 0) return
-      val bytes = p.bytesInMemory
-      val recs  = p.recordsInMemory
-      buildFile(p.id).append(p.frames.iterator.flatMap(_.records.iterator), n.toLong)
-      noteBuildWrite(bytes, n.toLong)
-      p.noteFlushed(bytes, recs, n.toLong)
+    def flush(p: PartitionState[T], extra: Seq[JoinRec[T]] = Nil): Unit = {
+      val n          = p.frames.size.toLong
+      val bytes      = p.bytesInMemory
+      val extraBytes = extra.iterator.map(_.size.toLong).sum
+      val written    = bytes + extraBytes
+      if (buildFiles(p.id) == null) buildFiles(p.id) = store.newFile(s"d$depth-p${p.id}-build")
+      buildFiles(p.id).append(p.frames.iterator.flatMap(_.records.iterator) ++ extra.iterator, n)
+      stats.io.noteWrite(n, written)
+      stats.buildIo.noteWrite(n, written)
+      stats.buildSpillBytes += written
+      if (depth == 0) stats.round1BuildSpillBytes += written
+      p.noteFlushed(bytes, p.recordsInMemory, n)
+      p.spilledBytes += extraBytes
+      p.spilledRecs += extra.size
       pool.release(p.dropAllFrames())
     }
 
@@ -245,74 +201,57 @@ object DynamicHHJ {
           if (p.spilled && p.frames.nonEmpty && (best == null || p.frames.size > best.frames.size)) best = p
           i += 1
         }
-        if (best != null && best.frames.size >= 2) { flushSpilled(best); return }
+        if (best != null && best.frames.size >= 2) { flush(best); return }
         val anyResident = parts.exists(p => !p.spilled && p.frames.nonEmpty)
-        if (best != null && !anyResident) { flushSpilled(best); return }
+        if (best != null && !anyResident) { flush(best); return }
       }
       val candidates = parts.iterator.filter(p => !p.spilled && p.frames.nonEmpty).toIndexedSeq
       if (candidates.isEmpty)
         throw new IllegalStateException(
           s"no victim available: P=$P M=${cfg.memoryFrames} — memory too small for partition count")
       val ctx = VictimContext(P, numSpilled, incoming, totalBuildBytes.map(t => math.max(0L, t - consumed)))
-      spillPartition(parts(victim.choose(candidates, ctx)))
+      val v   = parts(victim.choose(candidates, ctx))
+      flush(v)
+      v.spilled = true
+      numSpilled += 1
+      stats.victimSpills += 1
     }
 
-    def acquireFrameFor(pid: Int): Unit =
-      if (!pool.tryAcquire()) {
-        makeRoom(pid)
-        if (!pool.tryAcquire())
-          throw new IllegalStateException("makeRoom freed no frames")
-      }
-
-    /** NG-NS path for a record hashed to a spilled partition: a single
-      * output-buffer frame, flushed (one random write) when full.
+    /** Put `r` into `p` without destaging anything; false when `r` needs a
+      * new frame and the pool has none. Resident and G-S spilled partitions
+      * search their frames with the insertion policy; a spilled NG-NS
+      * partition owns one output buffer: when full it is flushed (one random
+      * write) and its frame taken back from the pool at once, which cannot
+      * fail as the flush just returned it. With `search = false` a record
+      * that has no buffer goes straight into a new frame.
       */
-    def insertSpilledNGNS(p: PartitionState[T], r: JoinRec[T]): Unit = {
-      if (p.frames.isEmpty) { acquireFrameFor(p.id); p.appendFrame() }
-      val buf = p.frames(0)
-      if (buf.free < r.size) {
-        val bytes = buf.used.toLong
-        val recs  = buf.recordCount.toLong
-        buildFile(p.id).append(buf.records.iterator.to(Iterator), 1L)
-        noteBuildWrite(bytes, 1L)
-        p.noteFlushed(bytes, recs, 1L)
-        buf.clear()
+    def tryPlace(p: PartitionState[T], r: JoinRec[T], search: Boolean): Boolean = {
+      val buffer = p.spilled && cfg.growth == GrowthPolicy.NGNS
+      if (buffer && p.frames.nonEmpty && p.frames(0).free < r.size) flush(p)
+      var idx =
+        if (buffer) p.frames.size - 1
+        else if (search) insertion.chooseFrame(p, r.size, stats.search)
+        else -1
+      if (idx < 0) {
+        if (!pool.tryAcquire()) return false
+        p.appendFrame()
+        idx = p.frames.size - 1
       }
-      p.insertInto(0, r)
+      p.insertInto(idx, r)
+      if (!buffer) insertion.inserted(p, idx, r.size)
+      true
     }
 
-    /** G-S path: a spilled partition grows like a resident one. */
-    def insertSpilledGS(p: PartitionState[T], r: JoinRec[T]): Unit = {
-      val idx = insertion.chooseFrame(p, r.size, stats.search)
-      if (idx >= 0) { p.insertInto(idx, r); insertion.inserted(p, idx, r.size) }
-      else {
-        acquireFrameFor(p.id)
-        p.appendFrame()
-        p.insertInto(p.frames.size - 1, r)
-        insertion.inserted(p, p.frames.size - 1, r.size)
-      }
-    }
-
-    def insertResident(p: PartitionState[T], r: JoinRec[T]): Unit = {
-      val idx = insertion.chooseFrame(p, r.size, stats.search)
-      if (idx >= 0) { p.insertInto(idx, r); insertion.inserted(p, idx, r.size) }
-      else if (pool.tryAcquire()) {
-        p.appendFrame()
-        p.insertInto(p.frames.size - 1, r)
-        insertion.inserted(p, p.frames.size - 1, r.size)
-      } else {
+    /** Place a build record, destaging to make room if the pool is empty.
+      * The partition's frames were already searched, so after `makeRoom`
+      * the record takes a new frame — also when the victim was `p` itself
+      * (self-victim), which then continues as a spilled partition.
+      */
+    def place(p: PartitionState[T], r: JoinRec[T]): Unit =
+      if (!tryPlace(p, r, search = true)) {
         makeRoom(p.id)
-        if (p.spilled) {
-          // The victim policy chose this very partition (self-victim).
-          if (cfg.growth == GrowthPolicy.GS) insertSpilledGS(p, r) else insertSpilledNGNS(p, r)
-        } else {
-          acquireFrameFor(p.id)
-          p.appendFrame()
-          p.insertInto(p.frames.size - 1, r)
-          insertion.inserted(p, p.frames.size - 1, r.size)
-        }
+        if (!tryPlace(p, r, search = false)) throw new IllegalStateException("makeRoom freed no frames")
       }
-    }
 
     // ---------------- Build phase ----------------
     while (buildIt.hasNext) {
@@ -322,11 +261,7 @@ object DynamicHHJ {
       stats.search.insertions += 1
       consumed += r.size
       roundBuild += r.size
-      val pid = SplitFun.partition(r.key, seed, P)
-      val p   = parts(pid)
-      if (!p.spilled) insertResident(p, r)
-      else if (cfg.growth == GrowthPolicy.GS) insertSpilledGS(p, r)
-      else insertSpilledNGNS(p, r)
+      place(parts(SplitFun.partition(r.key, seed, P)), r)
     }
 
     // Round-1 metrics are sampled before the end-of-build drain.
@@ -344,7 +279,7 @@ object DynamicHHJ {
     }
 
     // Drain spilled partitions' remaining in-memory frames.
-    parts.foreach(p => if (p.spilled) flushSpilled(p))
+    parts.foreach(p => if (p.spilled && p.frames.nonEmpty) flush(p))
 
     // §8.5: reload spilled build partitions that fit in leftover memory.
     if (cfg.reloadSpilled && numSpilled > 0) {
@@ -369,37 +304,17 @@ object DynamicHHJ {
           p.noteReloaded()
           numSpilled -= 1
           stats.reloadedPartitions += 1
-          var i       = 0
-          var aborted = false
-          while (i < recs.length && !aborted) {
-            val r   = recs(i)
-            val idx = insertion.chooseFrame(p, r.size, stats.search)
-            if (idx >= 0) { p.insertInto(idx, r); insertion.inserted(p, idx, r.size); i += 1 }
-            else if (pool.tryAcquire()) {
-              p.appendFrame()
-              p.insertInto(p.frames.size - 1, r)
-              insertion.inserted(p, p.frames.size - 1, r.size)
-              i += 1
-            } else {
-              // The fudge guard under-estimated fragmentation (possible with
-              // near-frame-size records): write everything back out and keep
-              // the partition spilled.
-              val n     = p.frames.size
-              val bytes = p.bytesInMemory
-              val cnt   = p.recordsInMemory
-              buildFile(p.id).append(p.frames.iterator.flatMap(_.records.iterator) ++ recs.iterator.drop(i), n.toLong)
-              noteBuildWrite(bytes + recs.iterator.drop(i).map(_.size.toLong).sum, n.toLong)
-              p.noteFlushed(bytes, cnt, n.toLong)
-              p.spilledBytes += recs.iterator.drop(i).map(_.size.toLong).sum
-              p.spilledRecs += recs.length - i
-              pool.release(p.dropAllFrames())
-              p.spilled = true
-              numSpilled += 1
-              stats.reloadedPartitions -= 1
-              aborted = true
-            }
+          val stuck = recs.indexWhere(r => !tryPlace(p, r, search = true))
+          if (stuck >= 0) {
+            // The fudge guard under-estimated fragmentation (possible with
+            // near-frame-size records): write everything back out and keep
+            // the partition spilled.
+            flush(p, recs.toSeq.drop(stuck))
+            p.spilled = true
+            numSpilled += 1
+            stats.reloadedPartitions -= 1
           }
-          changed = !aborted
+          changed = stuck < 0
         }
       }
     }
@@ -410,26 +325,18 @@ object DynamicHHJ {
     while (pool.available < numSpilled) makeRoom(incoming = -1)
 
     // ---------------- Hash table over resident partitions ----------------
-    val table = new mutable.LongMap[ArrayBuffer[JoinRec[T]]]()
-    parts.foreach { p =>
-      if (!p.spilled) p.frames.foreach { f =>
-        f.records.foreach(r => table.getOrElseUpdate(r.key, new ArrayBuffer[JoinRec[T]](1)) += r)
-      }
-    }
+    val table = new HashTable[T]
+    parts.foreach(p => if (!p.spilled) p.frames.foreach(_.records.foreach(table.add)))
 
     // ---------------- Probe phase ----------------
     val probeFiles = new Array[SpillFile[T]](P)
     val probeBufs  = new Array[Frame[T]](P)
 
-    def probeFile(pid: Int): SpillFile[T] = {
-      if (probeFiles(pid) == null) probeFiles(pid) = store.newFile(s"d$depth-p$pid-probe")
-      probeFiles(pid)
-    }
-
     def flushProbeBuf(pid: Int): Unit = {
       val buf = probeBufs(pid)
       if (buf == null || buf.recordCount == 0) return
-      probeFile(pid).append(buf.records.iterator.to(Iterator), 1L)
+      if (probeFiles(pid) == null) probeFiles(pid) = store.newFile(s"d$depth-p$pid-probe")
+      probeFiles(pid).append(buf.records.iterator.to(Iterator), 1L)
       stats.io.noteWrite(1L, buf.used.toLong)
       stats.probeSpillBytes += buf.used
       buf.clear()
@@ -440,12 +347,8 @@ object DynamicHHJ {
       require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
       stats.probeRecordsProcessed += 1
       val pid = SplitFun.partition(r.key, seed, P)
-      if (!parts(pid).spilled) {
-        table.get(r.key).foreach { bs =>
-          var i = 0
-          while (i < bs.size) { stats.outputRecords += 1; emit(bs(i), r); i += 1 }
-        }
-      } else {
+      if (!parts(pid).spilled) table.probe(r, stats, emit)
+      else {
         if (probeBufs(pid) == null) {
           require(pool.tryAcquire(), "probe buffer reservation failed") // reserved above
           probeBufs(pid) = new Frame[T](cfg.frameSize)
@@ -459,13 +362,11 @@ object DynamicHHJ {
     // partition whose probe side is empty joins to nothing — drop it.
     val pairs = ArrayBuffer.empty[(SpillFile[T], SpillFile[T], Long)]
     (0 until P).foreach { pid =>
-      val bf = buildFiles(pid)
-      val pf = probeFiles(pid)
-      (bf, pf) match {
-        case (null, null) => ()
-        case (b, null)    => if (b != null) b.delete()
-        case (null, f)    => f.delete()
-        case (b, f)       => if (b.records > 0 && f.records > 0) pairs += ((b, f, roundBuild)) else { b.delete(); f.delete() }
+      val (bf, pf) = (buildFiles(pid), probeFiles(pid))
+      if (bf != null && pf != null && bf.records > 0 && pf.records > 0) pairs += ((bf, pf, roundBuild))
+      else {
+        if (bf != null) bf.delete()
+        if (pf != null) pf.delete()
       }
     }
     pairs.toSeq

@@ -9,10 +9,6 @@ final class SearchStats {
   var framesSearched = 0L
   var rngCalls       = 0L
   var insertions     = 0L
-
-  def merge(o: SearchStats): Unit = {
-    framesSearched += o.framesSearched; rngCalls += o.rngCalls; insertions += o.insertions
-  }
 }
 
 /** A partition insertion algorithm (§5): given the target partition and an

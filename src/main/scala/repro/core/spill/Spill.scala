@@ -37,13 +37,6 @@ final class IOStats {
   def noteRead(nFrames: Long, bytes: Long): Unit = {
     readOps += 1; readFrames += nFrames; bytesRead += bytes
   }
-
-  def merge(o: IOStats): Unit = {
-    seqWriteOps += o.seqWriteOps; seqWriteFrames += o.seqWriteFrames
-    randWriteOps += o.randWriteOps; randWriteFrames += o.randWriteFrames
-    bytesWritten += o.bytesWritten
-    readOps += o.readOps; readFrames += o.readFrames; bytesRead += o.bytesRead
-  }
 }
 
 /** One spilled partition's temporary file (build or probe side). */
@@ -106,23 +99,6 @@ object Serde {
   val nullSerde: Serde[Null] = new Serde[Null] {
     def write(t: Null, out: DataOutputStream): Unit = ()
     def read(in: DataInputStream): Null             = null
-  }
-
-  /** Java-serialization serde for arbitrary payloads (Spark `Row`s). */
-  def javaSerde[T <: AnyRef]: Serde[T] = new Serde[T] {
-    def write(t: T, out: DataOutputStream): Unit = {
-      val bos = new java.io.ByteArrayOutputStream()
-      val oos = new java.io.ObjectOutputStream(bos)
-      oos.writeObject(t); oos.close()
-      val b = bos.toByteArray
-      out.writeInt(b.length); out.write(b)
-    }
-    def read(in: DataInputStream): T = {
-      val n = in.readInt()
-      val b = new Array[Byte](n)
-      in.readFully(b)
-      new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(b)).readObject().asInstanceOf[T]
-    }
   }
 }
 

@@ -8,7 +8,7 @@ import repro.core.frames.JoinRec
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion._
-import repro.core.spill.InMemorySpillStore
+import repro.core.spill.{IOStats, InMemorySpillStore, SpillFile, SpillStore}
 import repro.core.victim._
 
 class DynamicHHJSpec extends AnyFunSuite {
@@ -17,9 +17,9 @@ class DynamicHHJSpec extends AnyFunSuite {
       build: Seq[JoinRec[Integer]],
       probe: Seq[JoinRec[Integer]],
       cfg: HHJConfig,
+      store: SpillStore[Integer] = new InMemorySpillStore[Integer],
   ): (Set[(Int, Int)], HHJStats) = {
-    val store = new InMemorySpillStore[Integer]
-    val out   = Set.newBuilder[(Int, Int)]
+    val out = Set.newBuilder[(Int, Int)]
     val stats = DynamicHHJ.join(
       build.iterator,
       probe.iterator,
@@ -128,12 +128,18 @@ class DynamicHHJSpec extends AnyFunSuite {
       assert(got == TestData.naiveJoin(b, p))
     }
 
-  for (mk <- VictimPolicy.all13(seed = 31)) {
-    val name = mk().name
+  // Every policy under NG-NS; the self-victim policies also under G-S, where
+  // the victim keeps growing as a spilled partition.
+  private val victimCases =
+    VictimPolicy.all13(seed = 31).map(_ -> GrowthPolicy.NGNS) ++
+      Seq(LargestSizeSelfVictim, SmallestSizeSelfVictim).map(v => (() => v) -> GrowthPolicy.GS)
+
+  for ((mk, g) <- victimCases) {
+    val name = mk().name + (if (g == GrowthPolicy.GS) " under G-S" else "")
     test(s"victim policy $name preserves join correctness under spilling") {
       val b = TestData.records(1500, 400, 30, 200, seed = 17)
       val p = TestData.records(1500, 400, 30, 200, seed = 18, idBase = 40000)
-      val (got, _) = runJoin(b, p, baseCfg(memoryFrames = 12).copy(victim = mk))
+      val (got, _) = runJoin(b, p, baseCfg(memoryFrames = 12).copy(victim = mk, growth = g))
       assert(got == TestData.naiveJoin(b, p))
     }
   }
@@ -256,6 +262,29 @@ class DynamicHHJSpec extends AnyFunSuite {
     assert(gotOn == gotOff && gotOn == TestData.naiveJoin(b, p))
   }
 
+  test("§8.5 reload abort: a partition that fragments on reload is written back and stays spilled") {
+    val b = TestData.records(300, keySpace = 800, 20, 80, seed = 2)
+    val p = TestData.records(600, keySpace = 800, 20, 80, seed = 3, idBase = 100000)
+    val cfg = HHJConfig(
+      memoryFrames = 9, frameSize = 1024,
+      partitionRule = PartitionRule.Dynamic(firstRound = 5, laterLowerBound = 2),
+      insertion = () => new RandomPct(0.10, 7),
+      reloadSpilled = true,
+    )
+    val tags  = ArrayBuffer.empty[String]
+    val inner = new InMemorySpillStore[Integer]
+    val store = new SpillStore[Integer] {
+      def newFile(tag: String): SpillFile[Integer] = { tags += tag; inner.newFile(tag) }
+      def close(): Unit                            = inner.close()
+    }
+    val (got, _) = runJoin(b, p, cfg, store)
+    assert(got == TestData.naiveJoin(b, p))
+    // Round 1 creates each build file once; a reload deletes the file and an
+    // abort creates it again.
+    val round1Build = tags.filter(t => t.startsWith("d0-") && t.endsWith("-build"))
+    assert(round1Build.size > round1Build.distinct.size, s"no round-1 reload abort: files $tags")
+  }
+
   test("§8.4 Best-Match victim policy is correct when sizes are known") {
     val b = TestData.records(3000, 700, 30, 90, seed = 31)
     val p = TestData.records(3000, 700, 30, 90, seed = 32, idBase = 97000)
@@ -321,5 +350,67 @@ class DynamicHHJSpec extends AnyFunSuite {
     store.close()
     assert(pairs.size == pairs.distinct.size, "duplicate emissions detected")
     assert(pairs.toSet == TestData.naiveJoin(b, p))
+  }
+
+  // ---------------- Golden counters ----------------
+
+  /** Every `HHJStats` counter, grouped; fullness in its exact hex form. */
+  private def counters(s: HHJStats): String = {
+    def io(i: IOStats) =
+      Seq(i.seqWriteOps, i.seqWriteFrames, i.randWriteOps, i.randWriteFrames, i.bytesWritten, i.readOps, i.readFrames, i.bytesRead)
+        .mkString("/")
+    Seq(
+      s"io=${io(s.io)}",
+      s"buildIo=${io(s.buildIo)}",
+      s"search=${s.search.framesSearched}/${s.search.rngCalls}/${s.search.insertions}",
+      s"rounds=${s.rounds}/${s.inMemoryRounds}/${s.bnljRounds}/${s.maxDepthReached}",
+      s"recs=${s.buildRecordsProcessed}/${s.probeRecordsProcessed}/${s.outputRecords}",
+      s"spill=${s.buildSpillBytes}/${s.probeSpillBytes}/${s.victimSpills}/${s.roleReversals}/${s.reloadedPartitions}",
+      s"r1=${s.round1Partitions}/${s.round1SpilledPartitions}/${s.round1ResidentBytes}/${s.round1BuildSpillBytes}/" +
+        s"${java.lang.Double.toHexString(s.round1AvgFullness)}/${s.round1Frames}",
+    ).mkString(" ")
+  }
+
+  // The engine is deterministic, so an engine rewrite that keeps behaviour
+  // keeps every counter. These values pin the insertion, growth and reload
+  // paths on a multi-round spilling join (G-S reloads, and one reload aborts).
+  private val goldenCounters = Seq(
+      "Append(8) NG-NS reload=false: io=16/133/565/565/659770/32/698/659770 buildIo=16/133/204/204/320270/0/0/0 search=2928/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
+      "Append(8) NG-NS reload=true: io=16/133/565/565/659770/32/698/659770 buildIo=16/133/204/204/320270/0/0/0 search=2928/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
+      "Append(8) G-S reload=false: io=71/357/387/387/691513/34/744/691513 buildIo=71/357/7/7/333996/0/0/0 search=5095/0/3939 rounds=12/6/0/3 recs=4502/4815/5579 spill=333996/357517/17/5/0 r1=4/4/0/161046/0x1.a9cec4ec4ec4fp-1/13",
+      "Append(8) G-S reload=true: io=71/357/374/374/679884/33/731/679884 buildIo=71/357/7/7/333996/0/0/0 search=5253/0/3939 rounds=12/5/0/3 recs=4398/4714/5579 spill=333996/345888/17/4/1 r1=4/4/0/161046/0x1.a9cec4ec4ec4fp-1/13",
+      "First-Fit NG-NS reload=false: io=16/134/565/565/659770/32/699/659770 buildIo=16/134/204/204/320270/0/0/0 search=3003/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
+      "First-Fit NG-NS reload=true: io=16/134/565/565/659770/32/699/659770 buildIo=16/134/204/204/320270/0/0/0 search=3003/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
+      "First-Fit G-S reload=false: io=72/359/386/386/691513/34/745/691513 buildIo=72/359/6/6/333996/0/0/0 search=5159/0/3939 rounds=12/6/0/3 recs=4502/4815/5579 spill=333996/357517/17/5/0 r1=4/4/0/161046/0x1.a9cec4ec4ec4fp-1/13",
+      "First-Fit G-S reload=true: io=72/359/373/373/679884/33/732/679884 buildIo=72/359/6/6/333996/0/0/0 search=5327/0/3939 rounds=12/5/0/3 recs=4398/4714/5579 spill=333996/345888/17/4/1 r1=4/4/0/161046/0x1.a9cec4ec4ec4fp-1/13",
+      "First-Fit(10%) NG-NS reload=false: io=16/137/570/570/659770/32/707/659770 buildIo=16/137/209/209/320270/0/0/0 search=2008/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.73p-2/4",
+      "First-Fit(10%) NG-NS reload=true: io=16/137/570/570/659770/32/707/659770 buildIo=16/137/209/209/320270/0/0/0 search=2008/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.73p-2/4",
+      "First-Fit(10%) G-S reload=false: io=73/367/386/386/691513/34/753/691513 buildIo=73/367/6/6/333996/0/0/0 search=3883/0/3939 rounds=12/6/0/3 recs=4502/4815/5579 spill=333996/357517/17/5/0 r1=4/4/0/161046/0x1.b58p-1/15",
+      "First-Fit(10%) G-S reload=true: io=73/367/373/373/679884/33/740/679884 buildIo=73/367/6/6/333996/0/0/0 search=3985/0/3939 rounds=12/5/0/3 recs=4398/4714/5579 spill=333996/345888/17/4/1 r1=4/4/0/161046/0x1.b58p-1/15",
+      "Best-Fit NG-NS reload=false: io=16/134/563/563/659770/32/697/659770 buildIo=16/134/202/202/320270/0/0/0 search=10243/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.da8p-2/4",
+      "Best-Fit NG-NS reload=true: io=16/134/563/563/659770/32/697/659770 buildIo=16/134/202/202/320270/0/0/0 search=10243/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.da8p-2/4",
+      "Best-Fit G-S reload=false: io=69/352/387/387/691513/34/739/691513 buildIo=69/352/7/7/333996/0/0/0 search=15100/0/3939 rounds=12/6/0/3 recs=4502/4815/5579 spill=333996/357517/17/5/0 r1=4/4/0/161046/0x1.d59d89d89d89ep-1/13",
+      "Best-Fit G-S reload=true: io=69/352/374/374/679884/33/726/679884 buildIo=69/352/7/7/333996/0/0/0 search=15728/0/3939 rounds=12/5/0/3 recs=4398/4714/5579 spill=333996/345888/17/4/1 r1=4/4/0/161046/0x1.d59d89d89d89ep-1/13",
+      "Next-Fit NG-NS reload=false: io=16/136/570/570/659770/32/706/659770 buildIo=16/136/208/208/320270/0/0/0 search=2326/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.73p-2/4",
+      "Next-Fit NG-NS reload=true: io=16/136/570/570/659770/32/706/659770 buildIo=16/136/208/208/320270/0/0/0 search=2326/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.73p-2/4",
+      "Next-Fit G-S reload=false: io=72/366/386/386/691513/34/752/691513 buildIo=72/366/5/5/333996/0/0/0 search=4328/0/3939 rounds=12/6/0/3 recs=4502/4815/5579 spill=333996/357517/17/5/0 r1=4/4/0/161046/0x1.946db6db6db6ep-1/14",
+      "Next-Fit G-S reload=true: io=72/366/373/373/679884/33/739/679884 buildIo=72/366/5/5/333996/0/0/0 search=4428/0/3939 rounds=12/5/0/3 recs=4398/4714/5579 spill=333996/345888/17/4/1 r1=4/4/0/161046/0x1.946db6db6db6ep-1/14",
+      "Random(10%) NG-NS reload=false: io=23/205/725/725/797273/46/930/797273 buildIo=23/205/284/284/384374/0/0/0 search=1689/1689/4050 rounds=13/11/0/3 recs=4962/5316/5579 spill=384374/412899/23/7/0 r1=4/4/0/161046/0x1.da8p-2/4",
+      "Random(10%) NG-NS reload=true: io=24/221/725/725/809038/47/946/809038 buildIo=24/221/284/284/396139/0/0/0 search=1805/1805/4050 rounds=13/11/0/3 recs=4962/5316/5579 spill=396139/412899/23/7/0 r1=4/4/0/161046/0x1.da8p-2/4",
+      "Random(10%) G-S reload=false: io=132/739/448/448/797273/46/1187/797273 buildIo=132/739/5/5/384374/0/0/0 search=4007/4007/4050 rounds=13/11/0/3 recs=4962/5316/5579 spill=384374/412899/23/7/0 r1=4/4/0/161046/0x1.f4aaaaaaaaaabp-2/15",
+      "Random(10%) G-S reload=true: io=132/739/448/448/797273/46/1187/797273 buildIo=132/739/5/5/384374/0/0/0 search=4007/4007/4050 rounds=13/11/0/3 recs=4962/5316/5579 spill=384374/412899/23/7/0 r1=4/4/0/161046/0x1.f4aaaaaaaaaabp-2/15",
+  )
+
+  test("golden counters: every HHJStats counter of a spilling join is unchanged") {
+    val b = TestData.records(1500, keySpace = 400, 20, 200, seed = 51)
+    val p = TestData.records(1500, keySpace = 400, 20, 200, seed = 52, idBase = 50000)
+    val got =
+      for ((name, ins) <- insertions; g <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS); reload <- Seq(false, true))
+        yield {
+          val cfg = baseCfg(memoryFrames = 16).copy(insertion = ins, growth = g, reloadSpilled = reload)
+          s"$name ${g.name} reload=$reload: ${counters(runJoin(b, p, cfg)._2)}"
+        }
+    assert(got.size == goldenCounters.size)
+    got.zip(goldenCounters).foreach { case (g, want) => assert(g == want) }
   }
 }

@@ -107,7 +107,6 @@ class FramesSpec extends AnyFunSuite {
     p.insertInto(0, JoinRec(1L, 100, null))
     p.insertInto(0, JoinRec(2L, 200, null))
     assert(p.bytesInMemory == 300 && p.recordsInMemory == 2)
-    assert(p.totalBytes == 300 && p.totalRecords == 2)
   }
 
   test("noteFlushed moves accounting from memory to spilled") {
@@ -116,7 +115,6 @@ class FramesSpec extends AnyFunSuite {
     p.insertInto(0, JoinRec(1L, 100, null))
     p.noteFlushed(100, 1, 1)
     assert(p.bytesInMemory == 0 && p.spilledBytes == 100 && p.spilledRecs == 1 && p.spilledFrames == 1)
-    assert(p.totalBytes == 100 && p.totalRecords == 1)
   }
 
   test("dropAllFrames returns the count and resets the cursor") {

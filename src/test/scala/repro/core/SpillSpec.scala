@@ -23,21 +23,14 @@ class SpillSpec extends AnyFunSuite {
     val io = new IOStats
     io.noteWrite(1, 900)
     assert(io.randWriteOps == 1 && io.randWriteFrames == 1 && io.seqWriteOps == 0)
+    io.noteWrite(4, 400)
+    assert(io.framesWritten == 5 && io.writeOps == 2)
   }
 
   test("reads accumulate") {
     val io = new IOStats
     io.noteRead(3, 3000); io.noteRead(2, 2000)
     assert(io.readOps == 2 && io.readFrames == 5 && io.bytesRead == 5000)
-  }
-
-  test("merge sums every counter") {
-    val a = new IOStats; a.noteWrite(4, 400); a.noteWrite(1, 100); a.noteRead(2, 200)
-    val b = new IOStats; b.noteWrite(1, 50)
-    b.merge(a)
-    assert(b.bytesWritten == 550 && b.seqWriteOps == 1 && b.randWriteOps == 2)
-    assert(b.readFrames == 2 && b.bytesRead == 200)
-    assert(b.framesWritten == 6 && b.writeOps == 3)
   }
 
   // ---------------- In-memory spill store ----------------
@@ -85,14 +78,6 @@ class SpillSpec extends AnyFunSuite {
     f.append(Iterator(JoinRec[Null](2L, 6, null)), 1)
     assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
     assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
-    store.close()
-  }
-
-  test("disk spill file round-trips java-serialized payloads") {
-    val store = tmpStore(Serde.javaSerde[String])
-    val f     = store.newFile("s")
-    f.append(Iterator(JoinRec(9L, 11, "hello"), JoinRec(8L, 12, "world")), 1)
-    assert(f.readAll().map(_.payload).toSeq == Seq("hello", "world"))
     store.close()
   }
 
