@@ -23,13 +23,7 @@ class Fig12GrowthPolicyBench extends AnyFunSuite {
     rows.find(r => r.policy == policy && r.dataMemRatio == ratio).get
 
   test("Figure 12: growth-policy statistics (paper panels a-h)") {
-    println("\n=== Figure 12: G-S vs NG-NS (memory 500 frames, All Small, HDD model) ===")
-    println(Studies.fmt(
-      Seq("data/mem", "policy", "written MB", "seq ops", "seq frames", "rand ops", "s cached", "s direct"),
-      rows.map(r =>
-        Seq(r.dataMemRatio, r.policy, r.writtenMB, r.seqWriteOps, r.seqWriteFrames, r.randWriteOps,
-          r.secondsCached, r.secondsDirect)),
-    ))
+    println(Studies.growthTable(rows))
 
     for (ratio <- Seq(1.2, 2.0, 10.0, 20.0, 100.0)) {
       val ngns = at("NG-NS", ratio)

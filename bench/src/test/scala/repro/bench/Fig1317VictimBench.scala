@@ -21,15 +21,6 @@ class Fig1317VictimBench extends AnyFunSuite {
 
   private val Ratios = Seq(1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
-  private def printStudy(tag: String, rows: Seq[Studies.VictimRow]): Unit = {
-    val policies = rows.map(_.policy).distinct
-    println(s"\n=== $tag: spilled-data ratio (actual/ideal) ===")
-    println(Studies.fmt(
-      Seq("policy") ++ Ratios.map(r => f"x$r%.1f"),
-      policies.map(p => Seq[Any](p) ++ Ratios.map(rt => rows.find(x => x.policy == p && x.dataMemRatio == rt).get.spilledRatio)),
-    ))
-  }
-
   private def ratiosSane(rows: Seq[Studies.VictimRow]): Unit =
     rows.foreach { r =>
       assert(r.spilledRatio.isNaN || (r.spilledRatio > 0.5 && r.spilledRatio < 15),
@@ -38,7 +29,7 @@ class Fig1317VictimBench extends AnyFunSuite {
 
   test("Figure 13a: no skew - all victim policies perform alike") {
     val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.Unique, Ratios)
-    printStudy("Figure 13a (All Small, uniform keys)", rows)
+    println(Studies.victimTable(13, 0.0, KeyDist.Unique, rows))
     ratiosSane(rows)
     for (rt <- Ratios.drop(1)) { // skip the near-memory point, tiny denominators amplify noise
       val at = rows.filter(r => r.dataMemRatio == rt).map(_.spilledRatio)
@@ -48,7 +39,7 @@ class Fig1317VictimBench extends AnyFunSuite {
 
   test("Figure 13b: skewed keys separate the policies") {
     val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.NormalSkew, Ratios)
-    printStudy("Figure 13b (All Small, Normal-skew build keys)", rows)
+    println(Studies.victimTable(13, 0.0, KeyDist.NormalSkew, rows))
     ratiosSane(rows)
     // Paper: Largest-* overspills when data is only slightly larger than
     // memory (the skewed fat partition is dumped whole).
@@ -67,23 +58,23 @@ class Fig1317VictimBench extends AnyFunSuite {
     assert(ls <= med * 1.05, s"$tag x$rt: Largest-Size ($ls) should be at or below the median ($med)")
   }
 
-  for ((fig, spec) <- Seq("Figure 14" -> RecordSpec.oneLarge _, "Figure 15" -> RecordSpec.threeLarge _);
+  for ((fig, spec) <- Seq(14 -> RecordSpec.oneLarge _, 15 -> RecordSpec.threeLarge _);
        pct <- Seq(0.1, 0.5, 0.9)) {
-    val dsName = if (fig == "Figure 14") "1-Large" else "3-Large"
-    test(f"$fig: $dsName Coexist, ${(pct * 100).toInt}%% large records") {
+    val dsName = if (fig == 14) "1-Large" else "3-Large"
+    test(f"Figure $fig: $dsName Coexist, ${(pct * 100).toInt}%% large records") {
       val rows = Studies.victimStudy(spec(pct), KeyDist.Unique, Ratios)
-      printStudy(f"$fig ($dsName, ${(pct * 100).toInt}%% large, uniform keys)", rows)
+      println(Studies.victimTable(fig, pct, KeyDist.Unique, rows))
       ratiosSane(rows)
-      largestAmongBest(rows, fig)
+      largestAmongBest(rows, s"Figure $fig")
     }
   }
 
-  for ((fig, spec) <- Seq("Figure 16" -> RecordSpec.oneLarge _, "Figure 17" -> RecordSpec.threeLarge _);
+  for ((fig, spec) <- Seq(16 -> RecordSpec.oneLarge _, 17 -> RecordSpec.threeLarge _);
        pct <- Seq(0.1, 0.5, 0.9)) {
-    val dsName = if (fig == "Figure 16") "1-Large" else "3-Large"
-    test(f"$fig: skew + $dsName Coexist, ${(pct * 100).toInt}%% large records") {
+    val dsName = if (fig == 16) "1-Large" else "3-Large"
+    test(f"Figure $fig: skew + $dsName Coexist, ${(pct * 100).toInt}%% large records") {
       val rows = Studies.victimStudy(spec(pct), KeyDist.NormalSkew, Ratios)
-      printStudy(f"$fig ($dsName, ${(pct * 100).toInt}%% large, skewed keys)", rows)
+      println(Studies.victimTable(fig, pct, KeyDist.NormalSkew, rows))
       ratiosSane(rows)
     }
   }

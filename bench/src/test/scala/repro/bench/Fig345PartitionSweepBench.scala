@@ -2,6 +2,8 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import Studies.{SweepInputsMB => Inputs, SweepMemoryMB => MemoryMB}
+
 /** Figures 3, 4 and 5: the §4 number-of-partitions simulation study,
   * scaled from (M = 128 MB, inputs 128 MB - 8 GB) to (M = 16 MB, inputs
   * 16 MB - 1 GB) with identical data/memory ratios of 1x .. 64x.
@@ -16,19 +18,11 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig345PartitionSweepBench extends AnyFunSuite {
 
-  private val MemoryMB   = 16L
-  private val Inputs     = Seq(16L, 32L, 64L, 256L, 1024L)
-  private val Partitions = Seq(2, 4, 8, 16, 20, 24, 32, 64, 128)
-
-  private lazy val fixed   = Studies.partitionSweep(MemoryMB, Inputs, Partitions, fixedAllRounds = true)
-  private lazy val dynamic = Studies.partitionSweep(MemoryMB, Inputs, Partitions, fixedAllRounds = false)
+  private lazy val fixed   = Studies.partitionSweep(fixedAllRounds = true)
+  private lazy val dynamic = Studies.partitionSweep(fixedAllRounds = false)
 
   test("Figure 3: total spilling vs number of partitions (fixed for all rounds)") {
-    println(s"\n=== Figure 3: total spilled MB, M=${MemoryMB}MB, partitions fixed for all rounds ===")
-    println(Studies.fmt(
-      Seq("input MB") ++ Partitions.map(p => s"P=$p"),
-      Inputs.map(in => Seq[Any](in) ++ fixed.filter(_.inputMB == in).map(c => c.spilledMB)),
-    ))
+    println(Studies.sweepTable(3, fixed))
     val at1024 = fixed.filter(_.inputMB == 1024L)
     val p2     = at1024.find(_.partitions == 2).get.spilledMB
     val p20    = at1024.find(_.partitions == 20).get.spilledMB
@@ -48,11 +42,7 @@ class Fig345PartitionSweepBench extends AnyFunSuite {
   }
 
   test("Figure 4: Eq. 2-sized later rounds remove most of the small-P penalty") {
-    println(s"\n=== Figure 4: total spilled MB, first round fixed, later rounds via Eq. 2 ===")
-    println(Studies.fmt(
-      Seq("input MB") ++ Partitions.map(p => s"P=$p"),
-      Inputs.map(in => Seq[Any](in) ++ dynamic.filter(_.inputMB == in).map(c => c.spilledMB)),
-    ))
+    println(Studies.sweepTable(4, dynamic))
     for (in <- Seq(256L, 1024L); p <- Seq(2, 4)) {
       val f = fixed.find(c => c.inputMB == in && c.partitions == p).get.spilledMB
       val d = dynamic.find(c => c.inputMB == in && c.partitions == p).get.spilledMB
@@ -61,11 +51,7 @@ class Fig345PartitionSweepBench extends AnyFunSuite {
   }
 
   test("Figure 5: in-memory build data plateaus near 20 partitions") {
-    println(s"\n=== Figure 5: build MB resident at end of round 1 (memory ${MemoryMB} MB) ===")
-    println(Studies.fmt(
-      Seq("input MB") ++ Partitions.map(p => s"P=$p"),
-      Inputs.map(in => Seq[Any](in) ++ fixed.filter(_.inputMB == in).map(c => c.residentMB)),
-    ))
+    println(Studies.sweepTable(5, fixed))
     // For moderately oversized inputs, >= 70% of memory is utilized at 20
     // partitions (paper: most lines above 78% of their memory).
     for (in <- Seq(32L, 64L, 256L)) {

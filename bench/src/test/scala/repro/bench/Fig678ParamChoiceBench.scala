@@ -16,11 +16,7 @@ class Fig678ParamChoiceBench extends AnyFunSuite {
     lazy val rows = Studies.parameterChoiceStudy(largeRatio)
 
     test(f"Figures 6-8: parameter sweep at ${(largeRatio * 100).toInt}%% large records") {
-      println(f"\n=== Figures 6-8: parameter choice, 1-Large Coexist, ${(largeRatio * 100).toInt}%% large ===")
-      println(Studies.fmt(
-        Seq("policy", "avg fullness", "frames searched", "rng calls"),
-        rows.map(r => Seq(r.policy, r.frameFullness, r.framesSearched, r.rngCalls)),
-      ))
+      println(Studies.paramChoiceTable(largeRatio, rows))
 
       def row(p: String) = rows.find(_.policy == p).get
 

@@ -17,13 +17,9 @@ import repro.wisconsin.RecordSpec
   */
 class Fig91011InsertionBench extends AnyFunSuite {
 
-  private def runAndPrint(tag: String, spec: RecordSpec): Seq[Studies.InsertionRow] = {
+  private def runAndPrint(fig: Int, largeRatio: Double, spec: RecordSpec): Seq[Studies.InsertionRow] = {
     val rows = Studies.insertionStudy(Studies.standardInsertionPolicies(), spec)
-    println(s"\n=== $tag ===")
-    println(Studies.fmt(
-      Seq("policy", "avg fullness", "frames searched", "s(HDD)", "s(SSD)", "s(EBS)"),
-      rows.map(r => Seq(r.policy, r.frameFullness, r.framesSearched, r.secondsHDD, r.secondsSSD, r.secondsEBS)),
-    ))
+    println(Studies.insertionTable(fig, largeRatio, rows))
     rows
   }
 
@@ -41,7 +37,7 @@ class Fig91011InsertionBench extends AnyFunSuite {
   }
 
   test("Figure 9: small records - fullness and response time per device") {
-    val rows = runAndPrint("Figure 9: All Small Records", RecordSpec.AllSmall)
+    val rows = runAndPrint(9, 0.0, RecordSpec.AllSmall)
     // High and similar fullness; Random's bounded blind probing sits a bit
     // lower (visible in the paper's Fig 9a as well).
     rows.foreach(r =>
@@ -55,13 +51,13 @@ class Fig91011InsertionBench extends AnyFunSuite {
 
   for (ratio <- Seq(0.1, 0.5, 0.9))
     test(f"Figure 10: 3-Large Coexist at ${(ratio * 100).toInt}%% large records") {
-      val rows = runAndPrint(f"Figure 10: 3-Large Coexist, ${(ratio * 100).toInt}%% large", RecordSpec.threeLarge(ratio))
+      val rows = runAndPrint(10, ratio, RecordSpec.threeLarge(ratio))
       bestFitSlowest(rows)
     }
 
   for (ratio <- Seq(0.1, 0.5, 0.9))
     test(f"Figure 11: 1-Large Coexist at ${(ratio * 100).toInt}%% large records") {
-      val rows = runAndPrint(f"Figure 11: 1-Large Coexist, ${(ratio * 100).toInt}%% large", RecordSpec.oneLarge(ratio))
+      val rows = runAndPrint(11, ratio, RecordSpec.oneLarge(ratio))
       bestFitSlowest(rows)
     }
 

@@ -7,18 +7,11 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Table1Bench extends AnyFunSuite {
 
-  private val paper = Map(
-    64L -> 2, 128L -> 2, 256L -> 2, 512L -> 5,
-    1024L -> 10, 2048L -> 20, 4096L -> 41, 8192L -> 83,
-  )
+  private val paper = Studies.Table1Paper
 
   test("Table 1: Equation 2 partition counts (paper vs measured)") {
     val got = Studies.table1()
-    println("\n=== Table 1: Number of partitions (Eq. 2, M = 128 MB, F = 1.3) ===")
-    println(Studies.fmt(
-      Seq("build MB", "partitions (paper)", "partitions (ours)"),
-      got.map { case (mb, p) => Seq(mb, paper(mb), p) },
-    ))
+    println(Studies.table1Table(got))
     got.foreach { case (mb, p) => assert(p == paper(mb), s"build=${mb}MB") }
   }
 }

@@ -6,59 +6,124 @@ import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule, Shapiro}
 import repro.core.insertion._
 import repro.core.spill.InMemorySpillStore
 import repro.core.victim.VictimPolicy
-import repro.sim.{IdealSpill, PartitionCountStudy}
+import repro.sim.IdealSpill
 import repro.storage.{Device, ResponseTimeModel}
 import repro.wisconsin.{KeyDist, RecordSpec, WisconsinGen}
 
-/** The paper's evaluation studies as reusable harnesses. Each function
-  * reproduces the data behind one table/figure of the paper; the bench
-  * suites (bench/) print and sanity-check them, and the jobs/ entrypoints
-  * wrap them for spark-submit. All studies are ratio-preserving scale-downs
-  * of the paper's setups (see DESIGN.md §2) and fully deterministic.
+/** The paper's evaluation studies and their printed tables. Each study
+  * reproduces the data behind one table/figure of the paper and each
+  * `*Table` renders it; the bench suites (bench/) sanity-check the data and
+  * print the tables, and `repro.jobs.Figures` prints the same tables. All
+  * studies are ratio-preserving scale-downs of the paper's setups (see
+  * DESIGN.md §2) and fully deterministic.
   */
 object Studies {
   val FrameSize = 32 * 1024
+
+  /** One metadata-only join on an in-memory spill store, output discarded. */
+  private def runJoin(build: Iterator[JoinRec[Null]], probe: Iterator[JoinRec[Null]], cfg: HHJConfig): HHJStats = {
+    val store = new InMemorySpillStore[Null]
+    try DynamicHHJ.join(build, probe, cfg, store, (_: JoinRec[Null], _: JoinRec[Null]) => ())
+    finally store.close()
+  }
+
+  /** The paper's recommended setup for §5-§7: 20 partitions in every round. */
+  private def paperConfig(memoryFrames: Int, seed: Long): HHJConfig =
+    HHJConfig(memoryFrames, FrameSize, PartitionRule.Dynamic(20, 20), seed = seed)
 
   // ------------------------------------------------------------------
   // Table 1 — Equation 2 partition counts
   // ------------------------------------------------------------------
 
+  /** The paper's Table 1: build MB -> partitions (M = 128 MB). */
+  val Table1Paper: Map[Long, Int] = Map(
+    64L -> 2, 128L -> 2, 256L -> 2, 512L -> 5,
+    1024L -> 10, 2048L -> 20, 4096L -> 41, 8192L -> 83,
+  )
+
   /** Paper Table 1: number of partitions by Eq. 2 for M = 128 MB. */
   def table1(): Seq[(Long, Int)] = {
     val memoryFrames = 128L * 1024 * 1024 / FrameSize
-    Seq(64L, 128L, 256L, 512L, 1024L, 2048L, 4096L, 8192L).map { buildMB =>
+    Table1Paper.keys.toSeq.sorted.map { buildMB =>
       val buildFrames = buildMB * 1024 * 1024 / FrameSize
       buildMB -> Shapiro.table1Partitions(buildFrames, memoryFrames)
     }
   }
 
+  def table1Table(rows: Seq[(Long, Int)]): String =
+    table("Table 1: Number of partitions (Eq. 2, M = 128 MB, F = 1.3)",
+      Seq("build MB", "partitions (paper)", "partitions (ours)"),
+      rows.map { case (mb, p) => Seq(mb, Table1Paper(mb), p) })
+
   // ------------------------------------------------------------------
   // Figures 3-5 — number-of-partitions simulation study
   // ------------------------------------------------------------------
 
-  final case class SweepCell(inputMB: Long, partitions: Int, spilledMB: Double, residentMB: Double, rounds: Int)
+  /** The §4 sweep scaled from the paper's M = 128 MB and inputs of 128 MB -
+    * 8 GB to M = 16 MB and 16 MB - 1 GB, with identical data/memory ratios
+    * (1x .. 64x).
+    */
+  val SweepMemoryMB   = 16L
+  val SweepInputsMB   = Seq(16L, 32L, 64L, 256L, 1024L)
+  val SweepPartitions = Seq(2, 4, 8, 16, 20, 24, 32, 64, 128)
+  private val SweepRecordSize = 1024
+  private val SweepSeed       = 17L
+
+  final case class SweepCell(inputMB: Long, partitions: Int, spilledMB: Double, residentMB: Double)
 
   /** The §4 sweep. One run yields both the Figure-3/4 metric (total spilled
     * MB across all rounds, build + probe) and the Figure-5 metric (build
-    * data resident at the end of round 1).
+    * data resident at the end of round 1). `fixedAllRounds = true` uses the
+    * same partition count in every round (Fig. 3); otherwise later rounds
+    * use Equation 2 on the known spilled sizes (Fig. 4).
     *
-    * Scaled from the paper's M = 128 MB to `memoryMB` with identical
-    * data/memory ratios (1x .. 64x).
+    * Like the paper's simulator, build and probe are the same uniform-key,
+    * uniform-size records; the real engine runs on metadata-only records,
+    * so "spilling" is exact accounting without real I/O.
     */
-  def partitionSweep(
-      memoryMB: Long,
-      inputsMB: Seq[Long],
-      partitionCounts: Seq[Int],
-      fixedAllRounds: Boolean,
-  ): Seq[SweepCell] =
-    for {
-      inputMB <- inputsMB
-      p       <- partitionCounts
-      if p < (memoryMB * 1024 * 1024 / FrameSize) // every partition needs a frame
-    } yield {
-      val r = PartitionCountStudy.run(inputMB, memoryMB, p, fixedAllRounds, FrameSize)
-      SweepCell(inputMB, p, r.totalSpillBytes / 1048576.0, r.round1ResidentBytes / 1048576.0, r.rounds)
+  def partitionSweep(fixedAllRounds: Boolean): Seq[SweepCell] = {
+    val memoryFrames = (SweepMemoryMB * 1024 * 1024 / FrameSize).toInt
+    // Distinct, well-spread keys from a SplittableRandom-style mix.
+    def uniformInput(bytes: Long) = Iterator.tabulate((bytes / SweepRecordSize).toInt) { i =>
+      JoinRec[Null](scala.util.hashing.byteswap64(i.toLong + SweepSeed * 0x632BE59BD9B4E019L), SweepRecordSize, null)
     }
+    for {
+      inputMB <- SweepInputsMB
+      p       <- SweepPartitions
+      if p < memoryFrames // every partition needs a frame
+    } yield {
+      val cfg = HHJConfig(
+        memoryFrames = memoryFrames,
+        frameSize = FrameSize,
+        partitionRule =
+          if (fixedAllRounds) PartitionRule.FixedAllRounds(p)
+          else PartitionRule.Dynamic(firstRound = p, laterLowerBound = 2),
+        // The pure §4 study isolates the partition-count effect, as the
+        // paper does: no §8 shortcuts rescue a bad partition count.
+        roleReversal = false,
+        inMemoryHashJoin = !fixedAllRounds,
+        seed = SweepSeed,
+      )
+      val bytes = inputMB * 1024 * 1024
+      val stats = runJoin(uniformInput(bytes), uniformInput(bytes), cfg)
+      SweepCell(inputMB, p, stats.io.bytesWritten / 1048576.0, stats.round1ResidentBytes / 1048576.0)
+    }
+  }
+
+  /** Figure `fig` (3, 4 or 5) from the fixed (3, 5) or Eq.-2 (4) sweep. */
+  def sweepTable(fig: Int, cells: Seq[SweepCell]): String = {
+    val (title, metric) = fig match {
+      case 3 => (s"Figure 3: total spilled MB, M=${SweepMemoryMB}MB, partitions fixed for all rounds",
+        (c: SweepCell) => c.spilledMB)
+      case 4 => ("Figure 4: total spilled MB, first round fixed, later rounds via Eq. 2",
+        (c: SweepCell) => c.spilledMB)
+      case 5 => (s"Figure 5: build MB resident at end of round 1 (memory ${SweepMemoryMB} MB)",
+        (c: SweepCell) => c.residentMB)
+    }
+    table(title,
+      Seq("input MB") ++ SweepPartitions.map(p => s"P=$p"),
+      SweepInputsMB.map(in => Seq[Any](in) ++ cells.filter(_.inputMB == in).map(metric)))
+  }
 
   // ------------------------------------------------------------------
   // Figures 6-11 — partition insertion studies
@@ -66,7 +131,6 @@ object Studies {
 
   final case class InsertionRow(
       policy: String,
-      largePct: Int,
       frameFullness: Double,
       framesSearched: Long,
       rngCalls: Long,
@@ -95,22 +159,11 @@ object Studies {
     // fullness (one large record per frame) plus slack.
     val memoryFrames = math.max(64, (dataBytes / FrameSize * 4).toInt)
     policies.map { case (name, ins) =>
-      val cfg = HHJConfig(
-        memoryFrames = memoryFrames,
-        frameSize = FrameSize,
-        partitionRule = PartitionRule.Dynamic(20, 20),
-        insertion = ins,
-        seed = seed,
-      )
-      val store = new InMemorySpillStore[Null]
-      val stats =
-        DynamicHHJ.join(mk(), WisconsinGen.records(n, spec, KeyDist.Unique, seed + 1), cfg, store,
-          (_: JoinRec[Null], _: JoinRec[Null]) => ())
-      store.close()
+      val cfg   = paperConfig(memoryFrames, seed).copy(insertion = ins)
+      val stats = runJoin(mk(), WisconsinGen.records(n, spec, KeyDist.Unique, seed + 1), cfg)
       require(stats.io.bytesWritten == 0, s"insertion study must not spill ($name)")
       InsertionRow(
         name,
-        (spec.largeRatio * 100).round.toInt,
         stats.round1AvgFullness,
         stats.search.framesSearched,
         stats.search.rngCalls,
@@ -143,6 +196,26 @@ object Studies {
     insertionStudy(appendParams ++ firstFitParams ++ randomParams, RecordSpec.oneLarge(largeRatio), dataMB)
   }
 
+  /** Figures 6-8 on 1-Large Coexist with `largeRatio` large records. */
+  def paramChoiceTable(largeRatio: Double, rows: Seq[InsertionRow]): String =
+    table(s"Figures 6-8: parameter choice, 1-Large Coexist, ${percent(largeRatio)}% large",
+      Seq("policy", "avg fullness", "frames searched", "rng calls"),
+      rows.map(r => Seq(r.policy, r.frameFullness, r.framesSearched, r.rngCalls)))
+
+  /** Figure 9 (All Small; `largeRatio` unused), 10 (3-Large Coexist) or 11
+    * (1-Large Coexist).
+    */
+  def insertionTable(fig: Int, largeRatio: Double, rows: Seq[InsertionRow]): String = {
+    val title = fig match {
+      case 9  => "Figure 9: All Small Records"
+      case 10 => s"Figure 10: 3-Large Coexist, ${percent(largeRatio)}% large"
+      case 11 => s"Figure 11: 1-Large Coexist, ${percent(largeRatio)}% large"
+    }
+    table(title,
+      Seq("policy", "avg fullness", "frames searched", "s(HDD)", "s(SSD)", "s(EBS)"),
+      rows.map(r => Seq(r.policy, r.frameFullness, r.framesSearched, r.secondsHDD, r.secondsSSD, r.secondsEBS)))
+  }
+
   // ------------------------------------------------------------------
   // Figure 12 — growth policies for spilled partitions
   // ------------------------------------------------------------------
@@ -158,34 +231,24 @@ object Studies {
       secondsDirect: Double,
   )
 
-  /** §6.2's experiment, ratio-preserving: memory `memoryFrames` frames, All
-    * Small records, data/memory ratios as in the paper (1.2x .. 100x),
-    * writes priced on HDD with the filesystem cache on (a,b,c,d) and off
-    * (e,f,g,h).
+  private val GrowthMemoryFrames = 500
+
+  /** §6.2's experiment, ratio-preserving: memory `GrowthMemoryFrames`
+    * frames, All Small records, data/memory ratios as in the paper (1.2x ..
+    * 100x), writes priced on HDD with the filesystem cache on (a,b,c,d) and
+    * off (e,f,g,h).
     */
-  def growthStudy(
-      ratios: Seq[Double] = Seq(1.2, 2, 10, 20, 100),
-      memoryFrames: Int = 500,
-      seed: Long = 301,
-  ): Seq[GrowthRow] = {
-    val memBytes = memoryFrames.toLong * FrameSize
+  def growthStudy(): Seq[GrowthRow] = {
+    val seed     = 301L
+    val memBytes = GrowthMemoryFrames.toLong * FrameSize
     for {
-      ratio  <- ratios
+      ratio  <- Seq(1.2, 2, 10, 20, 100)
       policy <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS)
     } yield {
       val dataBytes = (memBytes * ratio).toLong
       val (n, mk)   = WisconsinGen.dataset(dataBytes, RecordSpec.AllSmall, KeyDist.Unique, seed)
-      val cfg = HHJConfig(
-        memoryFrames = memoryFrames,
-        frameSize = FrameSize,
-        partitionRule = PartitionRule.Dynamic(20, 20),
-        growth = policy,
-        seed = seed,
-      )
-      val store = new InMemorySpillStore[Null]
-      val stats = DynamicHHJ.join(mk(), WisconsinGen.records(n, RecordSpec.AllSmall, KeyDist.Unique, seed + 1),
-        cfg, store, (_: JoinRec[Null], _: JoinRec[Null]) => ())
-      store.close()
+      val cfg       = paperConfig(GrowthMemoryFrames, seed).copy(growth = policy)
+      val stats     = runJoin(mk(), WisconsinGen.records(n, RecordSpec.AllSmall, KeyDist.Unique, seed + 1), cfg)
       // Write-pattern counters are build-phase only, matching the paper's
       // Figure-12 scope; response times cover the whole query.
       GrowthRow(
@@ -200,6 +263,13 @@ object Studies {
       )
     }
   }
+
+  def growthTable(rows: Seq[GrowthRow]): String =
+    table(s"Figure 12: G-S vs NG-NS (memory $GrowthMemoryFrames frames, All Small, HDD model)",
+      Seq("data/mem", "policy", "written MB", "seq ops", "seq frames", "rand ops", "s cached", "s direct"),
+      rows.map(r =>
+        Seq(r.dataMemRatio, r.policy, r.writtenMB, r.seqWriteOps, r.seqWriteFrames, r.randWriteOps,
+          r.secondsCached, r.secondsDirect)))
 
   // ------------------------------------------------------------------
   // Figures 13-17 — victim selection studies
@@ -223,33 +293,20 @@ object Studies {
     *                   always unique, §7.1.1)
     */
   def victimStudy(
-      spec: RecordSpec,
-      buildKeys: KeyDist,
-      ratios: Seq[Double] = Seq(1.2, 1.5, 2, 3, 4, 6, 8),
-      memoryFrames: Int = 512,
-      seed: Long = 401,
-  ): Seq[VictimRow] = {
-    val memBytes = memoryFrames.toLong * FrameSize
+      spec: RecordSpec, buildKeys: KeyDist, ratios: Seq[Double] = Seq(1.2, 1.5, 2, 3, 4, 6, 8)): Seq[VictimRow] = {
+    val memoryFrames = 512
+    val seed         = 401L
+    val memBytes     = memoryFrames.toLong * FrameSize
     for {
       ratio <- ratios
       mkVictim <- VictimPolicy.all13(seed)
     } yield {
       val dataBytes = (memBytes * ratio).toLong
       val (_, mkB)  = WisconsinGen.dataset(dataBytes, spec, buildKeys, seed)
-      val cfg = HHJConfig(
-        memoryFrames = memoryFrames,
-        frameSize = FrameSize,
-        partitionRule = PartitionRule.Dynamic(20, 20),
-        victim = mkVictim,
-        growth = GrowthPolicy.NGNS,
-        seed = seed,
-      )
-      val store = new InMemorySpillStore[Null]
+      val cfg       = paperConfig(memoryFrames, seed).copy(victim = mkVictim, growth = GrowthPolicy.NGNS)
       // The metric is round-1 build-phase spill; an empty probe skips the
       // probe pass and recursion, which this study does not measure.
-      val stats = DynamicHHJ.join(mkB(), Iterator.empty[JoinRec[Null]],
-        cfg, store, (_: JoinRec[Null], _: JoinRec[Null]) => ())
-      store.close()
+      val stats  = runJoin(mkB(), Iterator.empty, cfg)
       val actual = stats.round1BuildSpillBytes
       // The paper's denominator runs at fudge 1.4 because AsterixDB pays
       // hash-table overhead; this engine does not model that overhead, so
@@ -267,9 +324,36 @@ object Studies {
     }
   }
 
+  /** Figure 13 (All Small; `largeRatio` unused; panel a for unique, b for
+    * skewed `buildKeys`), 14/16 (1-Large) or 15/17 (3-Large): one row per
+    * policy, one column per data/memory ratio.
+    */
+  def victimTable(fig: Int, largeRatio: Double, buildKeys: KeyDist, rows: Seq[VictimRow]): String = {
+    val skewed = buildKeys == KeyDist.NormalSkew
+    val keys   = if (skewed) "skewed" else "uniform"
+    val title = fig match {
+      case 13 if skewed => "Figure 13b (All Small, Normal-skew build keys)"
+      case 13           => "Figure 13a (All Small, uniform keys)"
+      case 14 | 16      => s"Figure $fig (1-Large, ${percent(largeRatio)}% large, $keys keys)"
+      case 15 | 17      => s"Figure $fig (3-Large, ${percent(largeRatio)}% large, $keys keys)"
+    }
+    val ratios   = rows.map(_.dataMemRatio).distinct
+    val policies = rows.map(_.policy).distinct
+    table(s"$title: spilled-data ratio (actual/ideal)",
+      Seq("policy") ++ ratios.map(r => f"x$r%.1f"),
+      policies.map(p =>
+        Seq[Any](p) ++ ratios.map(rt => rows.find(x => x.policy == p && x.dataMemRatio == rt).get.spilledRatio)))
+  }
+
   // ------------------------------------------------------------------
   // Formatting
   // ------------------------------------------------------------------
+
+  private def percent(ratio: Double): Int = (ratio * 100).toInt
+
+  /** A titled table block as the benches print it. */
+  private def table(title: String, headers: Seq[String], rows: Seq[Seq[Any]]): String =
+    s"\n=== $title ===\n" + fmt(headers, rows)
 
   /** Render rows as an aligned text table. */
   def fmt(headers: Seq[String], rows: Seq[Seq[Any]]): String = {

@@ -25,6 +25,24 @@ import repro.core.victim.VictimContext
   */
 object DynamicHHJ {
 
+  /** §8.3: a later round's build side is joined in memory, unpartitioned,
+    * when its size times this hash-table overhead allowance fits in memory
+    * (the paper's simulator uses 1.4).
+    */
+  val MemFudge = 1.4
+
+  /** §8.1 bail-out: a later round whose build side shrank by less than this
+    * fraction of its parent round's is not helped by hashing (the join
+    * attribute is pathologically skewed) and falls back to block nested
+    * loop join.
+    */
+  val BailOutShrinkage = 0.2
+
+  /** Recursion depth cap; rounds at this depth fall back to block nested
+    * loop join.
+    */
+  val MaxDepth = 16
+
   def join[T](
       build: Iterator[JoinRec[T]],
       probe: Iterator[JoinRec[T]],
@@ -112,17 +130,17 @@ object DynamicHHJ {
 
     val memBytes = cfg.memoryFrames.toLong * cfg.frameSize
     var pairs    = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
-    if (cfg.inMemoryHashJoin && b.bytes * cfg.memFudge <= memBytes) {
+    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= memBytes) {
       // §8.3: skip partitioning, hash-join directly in memory.
       stats.inMemoryRounds += 1
       blockJoin(b, p, Long.MaxValue, stats, em)
-    } else if (depth >= cfg.maxDepth || b.bytes > (1.0 - cfg.bailOutShrinkage) * parentBuildBytes) {
+    } else if (depth >= MaxDepth || b.bytes > (1.0 - BailOutShrinkage) * parentBuildBytes) {
       // §8.1 bail-out: hashing is not shrinking the input — the join
       // attribute is pathologically skewed. Fall back to BNLJ.
       stats.bnljRounds += 1
       blockJoin(b, p, (cfg.memoryFrames - 1).toLong * cfg.frameSize, stats, em)
     } else {
-      val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize, cfg.eq2Fudge)
+      val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize)
       stats.io.noteRead(b.frames, b.bytes)
       stats.io.noteRead(p.frames, p.bytes)
       pairs = runRound(b.readAll(), p.readAll(), numP, depth, Some(b.bytes), cfg, store, stats, em)

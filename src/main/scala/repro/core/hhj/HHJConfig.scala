@@ -28,12 +28,15 @@ object PartitionRule {
     require(firstRound >= 2 && laterLowerBound >= 2)
   }
 
-  def forRound(rule: PartitionRule, buildBytes: Long, memoryFrames: Int, frameSize: Int, fudge: Double): Int =
+  /** Partition count for a later round; `Dynamic` applies Equation 2 with
+    * Table 1's fudge factor (1.3).
+    */
+  def forRound(rule: PartitionRule, buildBytes: Long, memoryFrames: Int, frameSize: Int): Int =
     rule match {
       case FixedAllRounds(p) => math.min(p, memoryFrames - 1)
       case Dynamic(_, lb) =>
         val buildFrames = math.max(1L, math.ceil(buildBytes.toDouble / frameSize).toLong)
-        Shapiro.roundPartitions(buildFrames, memoryFrames.toLong, fudge, lb)
+        Shapiro.roundPartitions(buildFrames, memoryFrames.toLong, lowerBound = lb)
     }
 }
 
@@ -46,19 +49,16 @@ object PartitionRule {
   *                      instance per round — some policies are stateful)
   * @param victim        victim selection policy factory (§7)
   * @param growth        spilled-partition growth policy (§6)
-  * @param eq2Fudge      fudge factor for Equation-2 partition counts
-  *                      (Table 1 implies 1.3)
   * @param roleReversal  §8.2: later rounds build on the smaller input
   * @param inMemoryHashJoin §8.3: later rounds whose build fits in memory
   *                      skip partitioning entirely
-  * @param bailOutShrinkage §8.1: if a later round's build input shrank less
-  *                      than this fraction vs. the previous round, hashing
-  *                      is ineffective — switch to block nested loop join
   * @param reloadSpilled §8.5: after the build phase, reload spilled build
   *                      partitions that fit in leftover memory
-  * @param memFudge      fudge factor for "fits in memory" tests (hash-table
-  *                      overhead allowance; the paper's simulator uses 1.4)
-  * @param maxDepth      recursion depth cap; deeper rounds fall back to BNLJ
+  *
+  * The later rounds' fixed thresholds are not configurable: Equation 2 uses
+  * Table 1's fudge factor 1.3 ([[Shapiro.roundPartitions]]), and §8.3's
+  * fits-in-memory allowance, §8.1's bail-out and the depth cap are
+  * constants in [[DynamicHHJ]].
   */
 final case class HHJConfig(
     memoryFrames: Int,
@@ -67,13 +67,9 @@ final case class HHJConfig(
     insertion: () => InsertionPolicy = () => Append(8),
     victim: () => VictimPolicy = () => LargestSize,
     growth: GrowthPolicy = GrowthPolicy.NGNS,
-    eq2Fudge: Double = 1.3,
     roleReversal: Boolean = true,
     inMemoryHashJoin: Boolean = true,
-    bailOutShrinkage: Double = 0.2,
     reloadSpilled: Boolean = false,
-    memFudge: Double = 1.4,
-    maxDepth: Int = 16,
     seed: Long = 42,
 ) {
   require(memoryFrames >= 3, "need at least 3 frames of join memory")

@@ -48,7 +48,7 @@ final class HHJStats {
     */
   var round1ResidentBytes = 0L
   /** Build bytes spilled during the round-1 build phase (numerator of the
-    * Figures 13-17 spilled-data ratio).
+    * Figures 13-17 actual/ideal spill ratio).
     */
   var round1BuildSpillBytes = 0L
   /** Average frame fullness over all in-memory frames at the end of the

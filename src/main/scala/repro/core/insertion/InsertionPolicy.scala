@@ -34,18 +34,13 @@ trait InsertionPolicy {
   def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit = {
     p.cursor = idx; p.lastInsertSize = size
   }
-}
 
-/** Append(n): search only the newest `n` frames, newest→oldest; give up and
-  * append a new frame otherwise. The paper's overall winner at n = 8.
-  */
-final case class Append(n: Int) extends InsertionPolicy {
-  require(n >= 1)
-  val name = s"Append($n)"
-  def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int = {
-    val fs   = p.frames
-    val stop = math.max(0, fs.size - n)
-    var i    = fs.size - 1
+  /** The first frame from `from` down to `stop` (inclusive) with at least
+    * `size` free bytes, or -1; counts every examined frame.
+    */
+  protected final def scanDown[T](p: PartitionState[T], size: Int, from: Int, stop: Int, stats: SearchStats): Int = {
+    val fs = p.frames
+    var i  = from
     while (i >= stop) {
       stats.framesSearched += 1
       if (fs(i).free >= size) return i
@@ -55,19 +50,21 @@ final case class Append(n: Int) extends InsertionPolicy {
   }
 }
 
+/** Append(n): search only the newest `n` frames, newest→oldest; give up and
+  * append a new frame otherwise. The paper's overall winner at n = 8.
+  */
+final case class Append(n: Int) extends InsertionPolicy {
+  require(n >= 1)
+  val name = s"Append($n)"
+  def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int =
+    scanDown(p, size, p.frames.size - 1, math.max(0, p.frames.size - n), stats)
+}
+
 /** First-Fit: search all frames newest→oldest, stop at the first fit. */
 case object FirstFit extends InsertionPolicy {
   val name = "First-Fit"
-  def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int = {
-    val fs = p.frames
-    var i  = fs.size - 1
-    while (i >= 0) {
-      stats.framesSearched += 1
-      if (fs(i).free >= size) return i
-      i -= 1
-    }
-    -1
-  }
+  def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int =
+    scanDown(p, size, p.frames.size - 1, 0, stats)
 }
 
 /** First-Fit(%p): like First-Fit but search at most `pct` of the partition's
@@ -77,16 +74,8 @@ final case class FirstFitPct(pct: Double) extends InsertionPolicy {
   require(pct > 0 && pct <= 1)
   val name = s"First-Fit(${(pct * 100).round}%)"
   def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int = {
-    val fs    = p.frames
-    val limit = math.ceil(fs.size * pct).toInt
-    val stop  = math.max(0, fs.size - limit)
-    var i     = fs.size - 1
-    while (i >= stop) {
-      stats.framesSearched += 1
-      if (fs(i).free >= size) return i
-      i -= 1
-    }
-    -1
+    val n = p.frames.size
+    scanDown(p, size, n - 1, math.max(0, n - math.ceil(n * pct).toInt), stats)
   }
 }
 
@@ -119,39 +108,23 @@ final class NextFit extends InsertionPolicy {
   val name = "Next-Fit"
   def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int = {
     val fs = p.frames
-    if (fs.isEmpty) return -1
-    val c = p.cursor
-    if (c < 0 || c >= fs.size) {
-      // First record (or cursor invalidated by a spill): newest → oldest.
-      var i = fs.size - 1
-      while (i >= 0) {
-        stats.framesSearched += 1
-        if (fs(i).free >= size) return i
-        i -= 1
-      }
-      -1
-    } else if (size >= p.lastInsertSize) {
-      var i = c
+    val c  = p.cursor
+    // Newer frames from `from` upward.
+    def scanUp(from: Int): Int = {
+      var i = from
       while (i < fs.size) {
         stats.framesSearched += 1
         if (fs(i).free >= size) return i
         i += 1
       }
       -1
-    } else {
-      var i = c
-      while (i >= 0) {
-        stats.framesSearched += 1
-        if (fs(i).free >= size) return i
-        i -= 1
-      }
-      var j = c + 1
-      while (j < fs.size) {
-        stats.framesSearched += 1
-        if (fs(j).free >= size) return j
-        j += 1
-      }
-      -1
+    }
+    // First record (or cursor invalidated by a spill): newest → oldest.
+    if (c < 0 || c >= fs.size) scanDown(p, size, fs.size - 1, 0, stats)
+    else if (size >= p.lastInsertSize) scanUp(c)
+    else {
+      val i = scanDown(p, size, c, 0, stats)
+      if (i >= 0) i else scanUp(c + 1)
     }
   }
 }

@@ -20,8 +20,6 @@ object Device {
   val SSD = Device("SSD", 530, 500, 60000)
   /** Amazon EBS gp2-class volume: throughput- and IOPS-capped. */
   val EBS = Device("EBS", 250, 250, 3000)
-
-  val all: Seq[Device] = Seq(HDD, SSD, EBS)
 }
 
 /** CPU cost constants (nanoseconds per operation) for the response-time
