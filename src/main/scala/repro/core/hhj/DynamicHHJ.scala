@@ -1,6 +1,5 @@
 package repro.core.hhj
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.frames.{Frame, FramePool, JoinRec, PartitionState, SplitFun}
@@ -60,18 +59,65 @@ object DynamicHHJ {
   // Hash table and the block join over a spilled file pair
   // ------------------------------------------------------------------
 
-  /** Build records indexed by their 64-bit key: one buffer per distinct key. */
-  private final class HashTable[T] {
-    private val byKey = new mutable.LongMap[ArrayBuffer[JoinRec[T]]]()
+  /** Build records chained by their 64-bit key over flat arrays: record
+    * refs and keys in insertion order, a power-of-two bucket-head array
+    * indexed by a multiplicative hash of the key, and one `next` link per
+    * record. Fill with `add`, `seal` once, then `probe`; `clear` empties it
+    * for refilling and keeps the arrays. Links are 1-based so that 0, a
+    * fresh array's value, ends a chain.
+    */
+  private final class HashTable[T](capacity: Int) {
+    private var recs  = new Array[AnyRef](math.max(capacity, 1))
+    private var keys  = new Array[Long](recs.length)
+    private var next  = new Array[Int](recs.length)
+    private var heads = new Array[Int](2)
+    private var shift = 63
+    private var n     = 0
 
-    def add(r: JoinRec[T]): Unit = byKey.getOrElseUpdate(r.key, new ArrayBuffer[JoinRec[T]](1)) += r
+    def add(r: JoinRec[T]): Unit = {
+      if (n == recs.length) {
+        val len = math.min(2L * n, Int.MaxValue - 8L).toInt
+        require(len > n, s"hash table cannot hold more than $n records")
+        recs = java.util.Arrays.copyOf(recs, len)
+        keys = java.util.Arrays.copyOf(keys, len)
+        next = new Array[Int](len)
+      }
+      recs(n) = r
+      keys(n) = r.key
+      n += 1
+    }
 
-    /** Emits `(buildRec, r)` for every build record with `r`'s key. */
+    private def bucket(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
+
+    /** Chains every added record. Records are linked last to first, so a
+      * chain — and so each key's matches — runs in insertion order.
+      */
+    def seal(): Unit = {
+      var buckets = 2
+      while (buckets < n && buckets < (1 << 30)) buckets <<= 1
+      if (heads.length == buckets) java.util.Arrays.fill(heads, 0) else heads = new Array[Int](buckets)
+      shift = 64 - Integer.numberOfTrailingZeros(buckets)
+      var i = n - 1
+      while (i >= 0) {
+        val h = bucket(keys(i))
+        next(i) = heads(h)
+        heads(h) = i + 1
+        i -= 1
+      }
+    }
+
+    def clear(): Unit = n = 0
+
+    /** Emits `(buildRec, r)` for every build record with `r`'s key, in the
+      * order they were added.
+      */
     def probe(r: JoinRec[T], stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
-      val bs = byKey.getOrNull(r.key)
-      if (bs != null) {
-        var i = 0
-        while (i < bs.size) { stats.outputRecords += 1; emit(bs(i), r); i += 1 }
+      val k = r.key
+      var j = heads(bucket(k))
+      while (j != 0) {
+        val i = j - 1
+        if (keys(i) == k) { stats.outputRecords += 1; emit(recs(i).asInstanceOf[JoinRec[T]], r) }
+        j = next(i)
       }
     }
   }
@@ -79,7 +125,8 @@ object DynamicHHJ {
   /** Joins a file pair by loading the build side `blockBytes` (declared
     * bytes) at a time into a hash table and re-scanning the probe side once
     * per block: §8.3's in-memory join is one unbounded block, §8.1's block
-    * nested loop join uses blocks of M-1 frames.
+    * nested loop join uses blocks of M-1 frames. The table is sized for the
+    * build file's average record size and reused across blocks.
     */
   private def blockJoin[T](
       b: SpillFile[T],
@@ -88,17 +135,20 @@ object DynamicHHJ {
       stats: HHJStats,
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): Unit = {
-    val bIt = b.readAll()
+    val bIt      = b.readAll()
+    val perBlock = if (blockBytes >= b.bytes) b.records else math.ceil(b.records.toDouble * blockBytes / b.bytes).toLong
+    val table    = new HashTable[T](math.min(perBlock, Int.MaxValue - 8L).toInt)
     stats.io.noteRead(b.frames, b.bytes)
     while (bIt.hasNext) {
-      val table = new HashTable[T]
-      var load  = 0L
+      table.clear()
+      var load = 0L
       while (bIt.hasNext && load < blockBytes) {
         val r = bIt.next()
         stats.buildRecordsProcessed += 1
         load += r.size
         table.add(r)
       }
+      table.seal()
       stats.io.noteRead(p.frames, p.bytes)
       p.readAll().foreach { r => stats.probeRecordsProcessed += 1; table.probe(r, stats, emit) }
     }
@@ -343,8 +393,10 @@ object DynamicHHJ {
     while (pool.available < numSpilled) makeRoom(incoming = -1)
 
     // ---------------- Hash table over resident partitions ----------------
-    val table = new HashTable[T]
-    parts.foreach(p => if (!p.spilled) p.frames.foreach(_.records.foreach(table.add)))
+    val resident = parts.filter(!_.spilled)
+    val table    = new HashTable[T](resident.iterator.map(_.recordsInMemory).sum.toInt)
+    resident.foreach(_.frames.foreach(_.records.foreach(table.add)))
+    table.seal()
 
     // ---------------- Probe phase ----------------
     val probeFiles = new Array[SpillFile[T]](P)

@@ -13,13 +13,14 @@ import repro.core.victim._
 
 class DynamicHHJSpec extends AnyFunSuite {
 
-  private def runJoin(
+  /** Every `emit` call as (build id, probe id), in call order. */
+  private def emitted(
       build: Seq[JoinRec[Integer]],
       probe: Seq[JoinRec[Integer]],
       cfg: HHJConfig,
       store: SpillStore[Integer] = new InMemorySpillStore[Integer],
-  ): (Set[(Int, Int)], HHJStats) = {
-    val out = Set.newBuilder[(Int, Int)]
+  ): (Vector[(Int, Int)], HHJStats) = {
+    val out = Vector.newBuilder[(Int, Int)]
     val stats = DynamicHHJ.join(
       build.iterator,
       probe.iterator,
@@ -29,6 +30,16 @@ class DynamicHHJSpec extends AnyFunSuite {
     )
     store.close()
     (out.result(), stats)
+  }
+
+  private def runJoin(
+      build: Seq[JoinRec[Integer]],
+      probe: Seq[JoinRec[Integer]],
+      cfg: HHJConfig,
+      store: SpillStore[Integer] = new InMemorySpillStore[Integer],
+  ): (Set[(Int, Int)], HHJStats) = {
+    val (pairs, stats) = emitted(build, probe, cfg, store)
+    (pairs.toSet, stats)
   }
 
   private def baseCfg(memoryFrames: Int = 24, frameSize: Int = 1024, partitions: Int = 4) =
@@ -352,6 +363,67 @@ class DynamicHHJSpec extends AnyFunSuite {
     assert(pairs.toSet == TestData.naiveJoin(b, p))
   }
 
+  // ---------------- Hash table edge cases ----------------
+
+  /** Counts how often each spill file is read back: only a §8.1 block
+    * nested loop join of two or more blocks reads a file twice.
+    */
+  private final class ReadCountingStore extends SpillStore[Integer] {
+    private val inner = new InMemorySpillStore[Integer]
+    var maxReads      = 0
+    def newFile(tag: String): SpillFile[Integer] = new SpillFile[Integer] {
+      private val f     = inner.newFile(tag)
+      private var reads = 0
+      def append(recs: Iterator[JoinRec[Integer]], nFrames: Long): Unit = f.append(recs, nFrames)
+      def readAll(): Iterator[JoinRec[Integer]] = { reads += 1; maxReads = math.max(maxReads, reads); f.readAll() }
+      def bytes: Long    = f.bytes
+      def records: Long  = f.records
+      def frames: Long   = f.frames
+      def delete(): Unit = f.delete()
+    }
+    def close(): Unit = inner.close()
+  }
+
+  test("hash table edge keys: every probe record meets its key's build records in insertion order") {
+    val hot = 0x7777L
+    val keys = Seq(0L, -1L, Long.MinValue, Long.MaxValue) ++
+      // Enough keys, equal in their low or high 32 bits or neither, that
+      // some of each kind share a bucket.
+      (1 to 1000).map(i => (i.toLong << 32) | 0x5A5A5A5AL) ++
+      (1 to 1000).map(i => (0x12345678L << 32) | i) ++
+      (0 until 10000).map(i => 1000003L * i + 7)
+    // Equal record sizes: every frame but a partition's newest is full, so
+    // records stay in arrival order in frames and spill files at every
+    // round, and a key's build insertion order is its input order.
+    def side(keys: Seq[Long], seed: Long, idBase: Int): Vector[JoinRec[Integer]] =
+      new scala.util.Random(seed).shuffle(keys).zipWithIndex.map { case (k, i) => JoinRec[Integer](k, 40, Int.box(idBase + i)) }.toVector
+    val b = side(keys ++ keys ++ Seq.fill(500)(hot), seed = 61, idBase = 0)
+    val p = side(keys ++ Seq.fill(500)(hot), seed = 62, idBase = 100000)
+    val buildIds = b.groupBy(_.key).map { case (k, rs) => k -> rs.map(_.payload.intValue) }
+
+    val resident = baseCfg(memoryFrames = 2048)
+    val inMemory = baseCfg(memoryFrames = 256, partitions = 8)
+    val bnlj     = baseCfg(memoryFrames = 8, partitions = 3)
+    for ((name, cfg) <- Seq("resident round" -> resident, "§8.3" -> inMemory, "§8.1" -> bnlj)) {
+      val store          = new ReadCountingStore
+      val (pairs, stats) = emitted(b, p, cfg, store)
+      name match {
+        case "resident round" => assert(stats.rounds == 1 && stats.io.bytesWritten == 0, name)
+        case "§8.3"           => assert(stats.inMemoryRounds > 0, name)
+        case _ =>
+          assert(stats.round1SpilledPartitions == stats.round1Partitions, s"$name: round 1 should spill everything")
+          assert(stats.bnljRounds > 0 && store.maxReads >= 2, s"$name: expected a BNLJ of two or more blocks")
+      }
+      assert(pairs.toSet == TestData.naiveJoin(b, p), name)
+      val byProbe = pairs.groupBy(_._2)
+      assert(pairs.size == p.iterator.map(r => buildIds(r.key).size).sum, name)
+      p.foreach { r =>
+        val got = byProbe.getOrElse(r.payload.intValue, Vector.empty).map(_._1)
+        assert(got == buildIds(r.key), s"$name: probe key ${r.key}")
+      }
+    }
+  }
+
   // ---------------- Golden counters ----------------
 
   /** Every `HHJStats` counter, grouped; fullness in its exact hex form. */
@@ -412,5 +484,45 @@ class DynamicHHJSpec extends AnyFunSuite {
         }
     assert(got.size == goldenCounters.size)
     got.zip(goldenCounters).foreach { case (g, want) => assert(g == want) }
+  }
+
+  // Engine counters cannot see the order of `emit` calls; this pins it, as
+  // a count and an order-sensitive digest of the (build id, probe id)
+  // sequence, for joins that reach the resident table, §8.2, §8.3, §8.1
+  // and a §8.5 reload. Varied record sizes place records out of arrival
+  // order in frames, so frame order is pinned too.
+  private def emitDigest(pairs: Seq[(Int, Int)]): String = {
+    var h = 0L
+    pairs.foreach { case (b, p) => h = (h * 31 + b) * 31 + p }
+    f"${pairs.size}/$h%016x"
+  }
+
+  private val goldenEmitOrder = Seq(
+    "resident: 5579/9924fdb34590c9e0",
+    "§8.2+§8.3: 3603/72e4a76085be658d",
+    "§8.1: 361823/b7d001380c060caf",
+    "§8.5: 5579/071dd8b25d933aa0",
+  )
+
+  test("golden emit order: the emit sequence of resident, §8.1, §8.2, §8.3 and §8.5 joins is unchanged") {
+    val dupB  = TestData.records(1500, keySpace = 400, 20, 200, seed = 51)
+    val dupP  = TestData.records(1500, keySpace = 400, 20, 200, seed = 52, idBase = 50000)
+    val big   = TestData.records(4000, 900, 30, 60, seed = 25)
+    val small = TestData.records(800, 900, 30, 60, seed = 26, idBase = 90000)
+    val hotB  = TestData.skewed(2000, 300, hotShare = 0.6, 30, 120, seed = 21)
+    val hotP  = TestData.skewed(1000, 300, hotShare = 0.3, 30, 120, seed = 22, idBase = 60000)
+    val cases = Seq(
+      ("resident", dupB, dupP, baseCfg(memoryFrames = 512).copy(insertion = () => FirstFit), (s: HHJStats) => s.rounds == 1),
+      ("§8.2+§8.3", big, small, baseCfg(memoryFrames = 16), (s: HHJStats) => s.roleReversals > 0 && s.inMemoryRounds > 0),
+      ("§8.1", hotB, hotP, baseCfg(memoryFrames = 10), (s: HHJStats) => s.bnljRounds > 0),
+      ("§8.5", dupB, dupP, baseCfg(memoryFrames = 16).copy(insertion = () => FirstFit, growth = GrowthPolicy.GS, reloadSpilled = true),
+        (s: HHJStats) => s.reloadedPartitions > 0),
+    )
+    val got = cases.map { case (name, b, p, cfg, reaches) =>
+      val (pairs, stats) = emitted(b, p, cfg)
+      assert(reaches(stats), s"$name does not reach its path")
+      s"$name: ${emitDigest(pairs)}"
+    }
+    assert(got == goldenEmitOrder)
   }
 }
