@@ -62,8 +62,9 @@ final class FramePool(val totalFrames: Int, val frameSize: Int) {
 }
 
 /** Per-partition build-phase state: the in-memory frame array (paper §2.3,
-  * "each partition uses an array to hold its in-memory frames"), spill
-  * accounting, and the Next-Fit insertion cursor.
+  * "each partition uses an array to hold its in-memory frames") and the
+  * Next-Fit insertion cursor. Whether the partition has spilled is not kept
+  * here: it has spilled iff the engine holds a build file for it.
   */
 final class PartitionState[T](val id: Int, val frameSize: Int) {
   /** In-memory frames. For a spilled NG-NS partition this is at most one
@@ -71,15 +72,8 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
     */
   val frames = ArrayBuffer.empty[Frame[T]]
 
-  var spilled = false
-
   private var memBytes = 0L
   private var memRecs  = 0L
-
-  /** Bytes/records of this partition already written to its spill file. */
-  var spilledBytes  = 0L
-  var spilledRecs   = 0L
-  var spilledFrames = 0L
 
   /** Next-Fit state: index of the frame that received the previous record,
     * and that record's size (§5, Next-Fit's guided search).
@@ -109,24 +103,14 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
 
   def appendFrame(): Frame[T] = { val f = new Frame[T](frameSize); frames += f; f }
 
-  /** Move accounting of flushed records from memory to the spill file. */
-  def noteFlushed(bytes: Long, recs: Long, nFrames: Long): Unit = {
-    memBytes -= bytes; memRecs -= recs
-    spilledBytes += bytes; spilledRecs += recs; spilledFrames += nFrames
-  }
-
-  /** Drop all frames (after their contents were written out); returns the
-    * number of frames released so the caller can return them to the pool.
+  /** Drop all frames and their byte and record counts (after their contents
+    * were written out); returns the number of frames released so the caller
+    * can return them to the pool.
     */
   def dropAllFrames(): Int = {
     val n = frames.size
-    frames.clear(); cursor = -1
+    frames.clear(); cursor = -1; memBytes = 0; memRecs = 0
     n
-  }
-
-  /** Reset spill accounting when a spilled partition is reloaded (§8.5). */
-  def noteReloaded(): Unit = {
-    spilled = false; spilledBytes = 0; spilledRecs = 0; spilledFrames = 0
   }
 }
 

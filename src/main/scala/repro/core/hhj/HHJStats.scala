@@ -31,9 +31,10 @@ final class HHJStats {
   var outputRecords         = 0L
 
   /** Bytes of build-side records written to spill files (all rounds). */
-  var buildSpillBytes = 0L
+  def buildSpillBytes: Long = buildIo.bytesWritten
   /** Bytes of probe-side records written to spill files (all rounds). */
-  var probeSpillBytes = 0L
+  def probeSpillBytes: Long = io.bytesWritten - buildIo.bytesWritten
+  def totalSpillBytes: Long = io.bytesWritten
   /** Victim-selection events across all rounds. */
   var victimSpills = 0L
   /** §8.2 role reversals and §8.5 reloaded partitions. */
@@ -47,8 +48,8 @@ final class HHJStats {
     * (the Figure-5 metric).
     */
   var round1ResidentBytes = 0L
-  /** Build bytes spilled during the round-1 build phase (numerator of the
-    * Figures 13-17 actual/ideal spill ratio).
+  /** Build bytes spilled during round 1 (numerator of the Figures 13-17
+    * actual/ideal spill ratio): `buildSpillBytes` when round 1 ends.
     */
   var round1BuildSpillBytes = 0L
   /** Average frame fullness over all in-memory frames at the end of the
@@ -56,6 +57,4 @@ final class HHJStats {
     */
   var round1AvgFullness = Double.NaN
   var round1Frames      = 0
-
-  def totalSpillBytes: Long = buildSpillBytes + probeSpillBytes
 }

@@ -58,12 +58,11 @@ case class DynamicHHJExec(
     val rKeys   = rightKeys
     val conf    = cfg
     left.execute().zipPartitions(right.execute()) { (probeIt, buildIt) =>
-      // Two independent projections per side so projected key rows can be
-      // compared without copying (each projection reuses its own buffer).
-      val probeKeyGen  = UnsafeProjection.create(lKeys, lOutput)
-      val buildKeyGen  = UnsafeProjection.create(rKeys, rOutput)
-      val probeKeyGen2 = UnsafeProjection.create(lKeys, lOutput)
-      val buildKeyGen2 = UnsafeProjection.create(rKeys, rOutput)
+      // One key projection per side. Each reuses its output row, so every
+      // key row is consumed (null check, hash, or comparison) before the
+      // same side's next projection.
+      val probeKeyGen = UnsafeProjection.create(lKeys, lOutput)
+      val buildKeyGen = UnsafeProjection.create(rKeys, rOutput)
       // Children may emit any InternalRow (e.g. a JoinedRow from a nested
       // operator); normalize to UnsafeRow via an identity projection.
       val probeToUnsafe = UnsafeProjection.create(lOutput, lOutput)
@@ -101,7 +100,7 @@ case class DynamicHHJExec(
           store,
           (b: JoinRec[UnsafeRow], p: JoinRec[UnsafeRow]) => {
             // Hash-collision filter: exact key comparison.
-            if (buildKeyGen2(b.payload) == probeKeyGen2(p.payload))
+            if (buildKeyGen(b.payload) == probeKeyGen(p.payload))
               out += outProj(joined(p.payload, b.payload)).copy()
           },
         )

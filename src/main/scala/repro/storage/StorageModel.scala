@@ -22,18 +22,6 @@ object Device {
   val EBS = Device("EBS", 250, 250, 3000)
 }
 
-/** CPU cost constants (nanoseconds per operation) for the response-time
-  * model. Calibrated to JVM-scale record handling: the per-record pipeline
-  * cost dominates; each frame probed during partition insertion adds a
-  * small constant; RNG draws cost extra (the paper blames Random(%p)'s
-  * response time on exactly this).
-  */
-final case class CpuModel(
-    perRecordNs: Double = 1500,
-    perFrameSearchedNs: Double = 40,
-    perRngCallNs: Double = 120,
-)
-
 /** Maps an execution's exact I/O trace + CPU counters to a simulated
   * response time on a device, with or without the filesystem cache.
   *
@@ -45,11 +33,19 @@ final case class CpuModel(
 object ResponseTimeModel {
   private val SyscallNs = 2000.0
 
-  def cpuSeconds(stats: HHJStats, cpu: CpuModel = CpuModel()): Double = {
+  // CPU cost constants (nanoseconds per operation), calibrated to JVM-scale
+  // record handling: the per-record pipeline cost dominates; each frame
+  // probed during partition insertion adds a small constant; RNG draws cost
+  // extra (the paper blames Random(%p)'s response time on exactly this).
+  val PerRecordNs        = 1500.0
+  val PerFrameSearchedNs = 40.0
+  val PerRngCallNs       = 120.0
+
+  def cpuSeconds(stats: HHJStats): Double = {
     val records = stats.buildRecordsProcessed + stats.probeRecordsProcessed + stats.outputRecords
-    (records * cpu.perRecordNs +
-      stats.search.framesSearched * cpu.perFrameSearchedNs +
-      stats.search.rngCalls * cpu.perRngCallNs) / 1e9
+    (records * PerRecordNs +
+      stats.search.framesSearched * PerFrameSearchedNs +
+      stats.search.rngCalls * PerRngCallNs) / 1e9
   }
 
   def ioSeconds(stats: HHJStats, inputBytes: Long, dev: Device, fsCache: Boolean): Double = {
@@ -72,12 +68,6 @@ object ResponseTimeModel {
     *
     * @param inputBytes bytes of base input scanned (build + probe)
     */
-  def seconds(
-      stats: HHJStats,
-      inputBytes: Long,
-      dev: Device,
-      fsCache: Boolean = true,
-      cpu: CpuModel = CpuModel(),
-  ): Double =
-    cpuSeconds(stats, cpu) + ioSeconds(stats, inputBytes, dev, fsCache)
+  def seconds(stats: HHJStats, inputBytes: Long, dev: Device, fsCache: Boolean = true): Double =
+    cpuSeconds(stats) + ioSeconds(stats, inputBytes, dev, fsCache)
 }

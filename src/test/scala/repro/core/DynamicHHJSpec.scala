@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.frames.JoinRec
+import repro.core.frames.{JoinRec, PartitionState}
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion._
@@ -524,5 +524,170 @@ class DynamicHHJSpec extends AnyFunSuite {
       s"$name: ${emitDigest(pairs)}"
     }
     assert(got == goldenEmitOrder)
+  }
+
+  // ---------------- Golden victim decisions ----------------
+
+  /** Runs `inner` and digests every call: each candidate's id, in-memory
+    * bytes and records, the context, and the choice.
+    */
+  private final class RecordingVictim(inner: VictimPolicy) extends VictimPolicy {
+    val name      = inner.name
+    private var n = 0
+    private var h = 0L
+    private def mix(x: Long): Unit = h = h * 31 + x
+    def choose[T](cs: IndexedSeq[PartitionState[T]], ctx: VictimContext): Int = {
+      mix(cs.size)
+      cs.foreach { c => mix(c.id); mix(c.bytesInMemory); mix(c.recordsInMemory) }
+      mix(ctx.numPartitions); mix(ctx.numSpilled); mix(ctx.incomingPartition); mix(ctx.remainingBuildBytes.getOrElse(-1L))
+      val id = inner.choose(cs, ctx)
+      mix(id); n += 1
+      id
+    }
+    def digest: String = f"$n/$h%016x"
+  }
+
+  // No counter sees what a victim policy is shown; this pins it for every
+  // policy, both growth policies and reload on a round-1-only and a
+  // multi-round input, so the candidates' sizes and the context (Best-Match's
+  // remaining build bytes included) cannot drift unseen.
+  private val goldenVictimDecisions = Seq(
+    "dup Largest-Size NG-NS reload=false: 16/60058bc8b64abb4f",
+    "dup Largest-Size NG-NS reload=true: 16/60058bc8b64abb4f",
+    "dup Largest-Size G-S reload=false: 17/e6830b257c9a4fed",
+    "dup Largest-Size G-S reload=true: 17/e6830b257c9a4fed",
+    "dup Largest-Records NG-NS reload=false: 16/7924ab5df4260974",
+    "dup Largest-Records NG-NS reload=true: 16/7924ab5df4260974",
+    "dup Largest-Records G-S reload=false: 16/f821d84b6d635be1",
+    "dup Largest-Records G-S reload=true: 16/f821d84b6d635be1",
+    "dup Largest-Size-Self-Victim NG-NS reload=false: 16/ba84aeeab49f8bc5",
+    "dup Largest-Size-Self-Victim NG-NS reload=true: 16/ba84aeeab49f8bc5",
+    "dup Largest-Size-Self-Victim G-S reload=false: 16/0297f7fcf723b57f",
+    "dup Largest-Size-Self-Victim G-S reload=true: 16/0297f7fcf723b57f",
+    "dup Median-Size NG-NS reload=false: 19/58d3133d8b97c03b",
+    "dup Median-Size NG-NS reload=true: 19/58d3133d8b97c03b",
+    "dup Median-Size G-S reload=false: 19/5a5513c4231916ef",
+    "dup Median-Size G-S reload=true: 19/5a5513c4231916ef",
+    "dup Median-Records NG-NS reload=false: 19/daad830ea59fec3b",
+    "dup Median-Records NG-NS reload=true: 19/daad830ea59fec3b",
+    "dup Median-Records G-S reload=false: 19/fcc0bb0dd0f21edc",
+    "dup Median-Records G-S reload=true: 19/fcc0bb0dd0f21edc",
+    "dup Smallest-Size NG-NS reload=false: 19/9d9bd56954fbb7c0",
+    "dup Smallest-Size NG-NS reload=true: 19/9d9bd56954fbb7c0",
+    "dup Smallest-Size G-S reload=false: 19/11bf4d85a31d374f",
+    "dup Smallest-Size G-S reload=true: 19/11bf4d85a31d374f",
+    "dup Smallest-Records NG-NS reload=false: 19/1a5cebd9b4e007a9",
+    "dup Smallest-Records NG-NS reload=true: 19/1a5cebd9b4e007a9",
+    "dup Smallest-Records G-S reload=false: 19/e790022e72f9fa7f",
+    "dup Smallest-Records G-S reload=true: 19/e790022e72f9fa7f",
+    "dup Smallest-Size-Self-Victim NG-NS reload=false: 16/ba84aeeab49f8bc5",
+    "dup Smallest-Size-Self-Victim NG-NS reload=true: 16/ba84aeeab49f8bc5",
+    "dup Smallest-Size-Self-Victim G-S reload=false: 16/ce77ee3c46df6e1d",
+    "dup Smallest-Size-Self-Victim G-S reload=true: 16/ce77ee3c46df6e1d",
+    "dup Random NG-NS reload=false: 17/1bc905df197c6c28",
+    "dup Random NG-NS reload=true: 17/1bc905df197c6c28",
+    "dup Random G-S reload=false: 17/da103821ede4cb5f",
+    "dup Random G-S reload=true: 17/da103821ede4cb5f",
+    "dup Half-Empty NG-NS reload=false: 19/9d9bd56954fbb7c0",
+    "dup Half-Empty NG-NS reload=true: 19/9d9bd56954fbb7c0",
+    "dup Half-Empty G-S reload=false: 19/11bf4d85a31d374f",
+    "dup Half-Empty G-S reload=true: 19/11bf4d85a31d374f",
+    "dup Least-Fragmentation NG-NS reload=false: 16/4694e5cefb27fe26",
+    "dup Least-Fragmentation NG-NS reload=true: 16/4694e5cefb27fe26",
+    "dup Least-Fragmentation G-S reload=false: 16/5a8825208d67e07e",
+    "dup Least-Fragmentation G-S reload=true: 16/5a8825208d67e07e",
+    "dup Low-High NG-NS reload=false: 16/8540a4912af060f0",
+    "dup Low-High NG-NS reload=true: 16/8540a4912af060f0",
+    "dup Low-High G-S reload=false: 17/7559319696cb56b4",
+    "dup Low-High G-S reload=true: 17/7559319696cb56b4",
+    "dup Record-Size-Ratio NG-NS reload=false: 16/94c5d92f81ab534b",
+    "dup Record-Size-Ratio NG-NS reload=true: 16/94c5d92f81ab534b",
+    "dup Record-Size-Ratio G-S reload=false: 17/0f94c786e8764d81",
+    "dup Record-Size-Ratio G-S reload=true: 17/0f94c786e8764d81",
+    "dup Best-Match NG-NS reload=false: 16/00ef4d98392bafef",
+    "dup Best-Match NG-NS reload=true: 16/00ef4d98392bafef",
+    "dup Best-Match G-S reload=false: 17/876cccf4ff7b448d",
+    "dup Best-Match G-S reload=true: 17/876cccf4ff7b448d",
+    "skew Largest-Size NG-NS reload=false: 10/902393f0ffa240d5",
+    "skew Largest-Size NG-NS reload=true: 10/902393f0ffa240d5",
+    "skew Largest-Size G-S reload=false: 10/39c2bd84c8a16e0e",
+    "skew Largest-Size G-S reload=true: 10/39c2bd84c8a16e0e",
+    "skew Largest-Records NG-NS reload=false: 10/902393f0ffa240d5",
+    "skew Largest-Records NG-NS reload=true: 10/902393f0ffa240d5",
+    "skew Largest-Records G-S reload=false: 10/39c2bd84c8a16e0e",
+    "skew Largest-Records G-S reload=true: 10/39c2bd84c8a16e0e",
+    "skew Largest-Size-Self-Victim NG-NS reload=false: 10/235c7a4cf1828af5",
+    "skew Largest-Size-Self-Victim NG-NS reload=true: 10/235c7a4cf1828af5",
+    "skew Largest-Size-Self-Victim G-S reload=false: 10/f076cae8618a0e93",
+    "skew Largest-Size-Self-Victim G-S reload=true: 10/f076cae8618a0e93",
+    "skew Median-Size NG-NS reload=false: 14/4f007b21ae9711e8",
+    "skew Median-Size NG-NS reload=true: 14/4f007b21ae9711e8",
+    "skew Median-Size G-S reload=false: 14/2460a145a5807ceb",
+    "skew Median-Size G-S reload=true: 14/2460a145a5807ceb",
+    "skew Median-Records NG-NS reload=false: 14/4f007b21ae9711e8",
+    "skew Median-Records NG-NS reload=true: 14/4f007b21ae9711e8",
+    "skew Median-Records G-S reload=false: 14/2460a145a5807ceb",
+    "skew Median-Records G-S reload=true: 14/2460a145a5807ceb",
+    "skew Smallest-Size NG-NS reload=false: 14/48c8eb568064643f",
+    "skew Smallest-Size NG-NS reload=true: 14/48c8eb568064643f",
+    "skew Smallest-Size G-S reload=false: 14/1e29117a774dcf42",
+    "skew Smallest-Size G-S reload=true: 14/1e29117a774dcf42",
+    "skew Smallest-Records NG-NS reload=false: 14/48c8eb568064643f",
+    "skew Smallest-Records NG-NS reload=true: 14/48c8eb568064643f",
+    "skew Smallest-Records G-S reload=false: 14/1e29117a774dcf42",
+    "skew Smallest-Records G-S reload=true: 14/1e29117a774dcf42",
+    "skew Smallest-Size-Self-Victim NG-NS reload=false: 10/235c7a4cf1828af5",
+    "skew Smallest-Size-Self-Victim NG-NS reload=true: 10/235c7a4cf1828af5",
+    "skew Smallest-Size-Self-Victim G-S reload=false: 12/e5846db749aa9e94",
+    "skew Smallest-Size-Self-Victim G-S reload=true: 12/e5846db749aa9e94",
+    "skew Random NG-NS reload=false: 12/1ae0b90bc060815a",
+    "skew Random NG-NS reload=true: 12/1ae0b90bc060815a",
+    "skew Random G-S reload=false: 12/627d5b9b5216f7dd",
+    "skew Random G-S reload=true: 12/627d5b9b5216f7dd",
+    "skew Half-Empty NG-NS reload=false: 14/48c8eb568064643f",
+    "skew Half-Empty NG-NS reload=true: 14/48c8eb568064643f",
+    "skew Half-Empty G-S reload=false: 14/1e29117a774dcf42",
+    "skew Half-Empty G-S reload=true: 14/1e29117a774dcf42",
+    "skew Least-Fragmentation NG-NS reload=false: 10/235c7a4cf1828af5",
+    "skew Least-Fragmentation NG-NS reload=true: 10/235c7a4cf1828af5",
+    "skew Least-Fragmentation G-S reload=false: 10/f076cae8618a0e93",
+    "skew Least-Fragmentation G-S reload=true: 10/f076cae8618a0e93",
+    "skew Low-High NG-NS reload=false: 11/4abd1530cb7dcb79",
+    "skew Low-High NG-NS reload=true: 11/4abd1530cb7dcb79",
+    "skew Low-High G-S reload=false: 13/05eadcf3bd294da8",
+    "skew Low-High G-S reload=true: 13/05eadcf3bd294da8",
+    "skew Record-Size-Ratio NG-NS reload=false: 10/517a6d8493793ee1",
+    "skew Record-Size-Ratio NG-NS reload=true: 10/517a6d8493793ee1",
+    "skew Record-Size-Ratio G-S reload=false: 10/42c0f5872fc945a3",
+    "skew Record-Size-Ratio G-S reload=true: 10/42c0f5872fc945a3",
+    "skew Best-Match NG-NS reload=false: 10/ba63f7dc023af2f7",
+    "skew Best-Match NG-NS reload=true: 10/ba63f7dc023af2f7",
+    "skew Best-Match G-S reload=false: 10/ad975ebfbc0b278f",
+    "skew Best-Match G-S reload=true: 10/ad975ebfbc0b278f",
+  )
+
+  test("golden victim decisions: every policy sees the same candidates and context and chooses the same") {
+    val inputs = Seq(
+      ("dup", TestData.records(1500, keySpace = 400, 20, 200, seed = 51),
+        TestData.records(1500, keySpace = 400, 20, 200, seed = 52, idBase = 50000), 16),
+      ("skew", TestData.skewed(2000, 300, hotShare = 0.6, 30, 120, seed = 21),
+        TestData.skewed(1000, 300, hotShare = 0.3, 30, 120, seed = 22, idBase = 60000), 10),
+    )
+    var reloading = 0
+    val got =
+      for ((input, b, p, frames) <- inputs; mk <- VictimPolicy.all13(seed = 31) :+ (() => BestMatch);
+           g <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS); reload <- Seq(false, true))
+        yield {
+          val v   = new RecordingVictim(mk())
+          val cfg = baseCfg(memoryFrames = frames).copy(insertion = () => FirstFit, victim = () => v, growth = g, reloadSpilled = reload)
+          val store = new InMemorySpillStore[Integer]
+          val stats = DynamicHHJ.join(b.iterator, p.iterator, cfg, store, (_: JoinRec[Integer], _: JoinRec[Integer]) => ())
+          store.close()
+          if (stats.reloadedPartitions > 0) reloading += 1
+          s"$input ${v.name} ${g.name} reload=$reload: ${v.digest}"
+        }
+    assert(reloading == 30, "the reload path must be reached")
+    assert(got.size == goldenVictimDecisions.size)
+    got.zip(goldenVictimDecisions).foreach { case (g, want) => assert(g == want) }
   }
 }

@@ -109,19 +109,13 @@ class FramesSpec extends AnyFunSuite {
     assert(p.bytesInMemory == 300 && p.recordsInMemory == 2)
   }
 
-  test("noteFlushed moves accounting from memory to spilled") {
-    val p = new PartitionState[Null](0, 1024)
-    p.appendFrame()
-    p.insertInto(0, JoinRec(1L, 100, null))
-    p.noteFlushed(100, 1, 1)
-    assert(p.bytesInMemory == 0 && p.spilledBytes == 100 && p.spilledRecs == 1 && p.spilledFrames == 1)
-  }
-
   test("dropAllFrames returns the count and resets the cursor") {
     val p = new PartitionState[Null](3, 256)
     p.appendFrame(); p.appendFrame(); p.cursor = 1
+    p.insertInto(0, JoinRec(1L, 100, null))
     assert(p.dropAllFrames() == 2)
     assert(p.frames.isEmpty && p.cursor == -1)
+    assert(p.bytesInMemory == 0 && p.recordsInMemory == 0)
   }
 
   test("freeBytesInFrames and avgFreePerFrame reflect fragmentation") {
@@ -135,13 +129,6 @@ class FramesSpec extends AnyFunSuite {
 
   test("avgFreePerFrame is zero with no frames") {
     assert(new PartitionState[Null](0, 100).avgFreePerFrame == 0.0)
-  }
-
-  test("noteReloaded clears spill state") {
-    val p = new PartitionState[Null](0, 100)
-    p.spilled = true; p.spilledBytes = 10; p.spilledRecs = 1; p.spilledFrames = 1
-    p.noteReloaded()
-    assert(!p.spilled && p.spilledBytes == 0 && p.spilledRecs == 0 && p.spilledFrames == 0)
   }
 
   test("insertInto a full frame throws") {

@@ -1,6 +1,8 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.UnsafeProjection
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.types._
@@ -116,6 +118,23 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(expected.size == rows)
       assert(sorted(HHJoin.join(a, b, Seq("k"), Seq("bk"), amplecfg, numPartitions = 4)) == expected)
     }
+  }
+
+  test("keys whose 64-bit hashes collide do not match each other") {
+    // Two BIGINT keys with the same byteswap64(UnsafeRow.hashCode) of their
+    // key row, the 64-bit key the engine matches on; found by scanning the
+    // keys k * 0x9E3779B97F4A7C15L.
+    val (ka, kb) = (7744111476371881714L, 9135685962583030665L)
+    val keyRow   = UnsafeProjection.create(Array[DataType](LongType))
+    def hash(k: Long): Long = scala.util.hashing.byteswap64(keyRow(InternalRow(k)).hashCode.toLong)
+    assert(hash(ka) == hash(kb))
+    import spark.implicits._
+    def side(name: String, keys: Long*): DataFrame = keys.toDF(name)
+    // One Spark partition: the exchange hashes keys its own way, so with more
+    // the two keys could reach different tasks and never meet in the engine.
+    assert(HHJoin.join(side("k", ka), side("bk", kb), Seq("k"), Seq("bk"), amplecfg, numPartitions = 1).collect().isEmpty)
+    val both = HHJoin.join(side("k", ka, kb), side("bk", ka, kb), Seq("k"), Seq("bk"), amplecfg, numPartitions = 1)
+    assert(both.collect().map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq == Seq((ka, ka), (kb, kb)).sorted)
   }
 
   test("HHJoin.join plans its own config and partition count whatever strategy is installed") {
