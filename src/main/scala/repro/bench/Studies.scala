@@ -144,7 +144,7 @@ object Studies {
     * (Figures 6-11). Build and probe are `dataMB` each.
     */
   def insertionStudy(
-      policies: Seq[(String, () => InsertionPolicy)],
+      policies: Seq[() => InsertionPolicy],
       spec: RecordSpec,
       // Large enough that 10% of a partition's frames exceeds Append's 8
       // (the paper's 1 GB runs have ~1600 frames per partition; 128 MB over
@@ -158,7 +158,8 @@ object Studies {
     // Enough memory that nothing spills: frames for data at worst-case
     // fullness (one large record per frame) plus slack.
     val memoryFrames = math.max(64, (dataBytes / FrameSize * 4).toInt)
-    policies.map { case (name, ins) =>
+    policies.map { ins =>
+      val name  = ins().name
       val cfg   = paperConfig(memoryFrames, seed).copy(insertion = ins)
       val stats = runJoin(mk(), WisconsinGen.records(n, spec, KeyDist.Unique, seed + 1), cfg)
       require(stats.io.bytesWritten == 0, s"insertion study must not spill ($name)")
@@ -175,25 +176,25 @@ object Studies {
   }
 
   /** The six §5 policies at their paper-chosen parameters. */
-  def standardInsertionPolicies(seed: Long = 7): Seq[(String, () => InsertionPolicy)] = Seq(
-    "Append(8)"      -> (() => Append(8)),
-    "First-Fit"      -> (() => FirstFit),
-    "First-Fit(10%)" -> (() => FirstFitPct(0.10)),
-    "Best-Fit"       -> (() => BestFit),
-    "Next-Fit"       -> (() => new NextFit),
-    "Random(10%)"    -> (() => new RandomPct(0.10, seed)),
+  def standardInsertionPolicies(seed: Long = 7): Seq[() => InsertionPolicy] = Seq(
+    () => Append(8),
+    () => FirstFit,
+    () => FirstFitPct(0.10),
+    () => BestFit,
+    () => new NextFit,
+    () => new RandomPct(0.10, seed),
   )
 
   /** Figures 6-8: the parameter sweeps that justify Append(8),
     * First-Fit(10%), Random(10%).
     */
   def parameterChoiceStudy(largeRatio: Double, dataMB: Int = 16): Seq[InsertionRow] = {
-    val appendParams   = Seq(1, 2, 4, 6, 8, 9, 10).map(k => s"Append($k)" -> (() => Append(k): InsertionPolicy))
-    val firstFitParams = Seq(0.05, 0.10, 0.25, 0.50, 1.0).map(p =>
-      f"First-Fit(${(p * 100).round}%%)" -> (() => FirstFitPct(p): InsertionPolicy))
-    val randomParams = Seq(0.05, 0.10, 0.25, 0.50, 1.0).map(p =>
-      f"Random(${(p * 100).round}%%)" -> (() => new RandomPct(p, 7): InsertionPolicy))
-    insertionStudy(appendParams ++ firstFitParams ++ randomParams, RecordSpec.oneLarge(largeRatio), dataMB)
+    val pcts = Seq(0.05, 0.10, 0.25, 0.50, 1.0)
+    val policies: Seq[() => InsertionPolicy] =
+      Seq(1, 2, 4, 6, 8, 9, 10).map(k => () => Append(k)) ++
+        pcts.map(p => () => FirstFitPct(p)) ++
+        pcts.map(p => () => new RandomPct(p, 7))
+    insertionStudy(policies, RecordSpec.oneLarge(largeRatio), dataMB)
   }
 
   /** Figures 6-8 on 1-Large Coexist with `largeRatio` large records. */
@@ -279,7 +280,6 @@ object Studies {
       policy: String,
       dataMemRatio: Double,
       spilledRatio: Double,
-      spilledPartitions: Int,
       seqWriteFrames: Long,
       randWriteOps: Long,
   )
@@ -317,7 +317,6 @@ object Studies {
         mkVictim().name,
         ratio,
         if (ideal == 0) Double.NaN else actual.toDouble / ideal,
-        stats.round1SpilledPartitions,
         stats.io.seqWriteFrames,
         stats.io.randWriteOps,
       )

@@ -45,7 +45,7 @@ final class Frame[T](val capacity: Int) {
   * operator must destage (spill) a partition to make room — the central
   * memory-pressure event of Dynamic HHJ.
   */
-final class FramePool(val totalFrames: Int, val frameSize: Int) {
+final class FramePool(val totalFrames: Int) {
   require(totalFrames >= 2, s"join memory must be at least 2 frames, got $totalFrames")
   private var inUse = 0
 

@@ -222,7 +222,7 @@ object DynamicHHJ {
     val P = numPartitions
     require(P >= 2 && P < cfg.memoryFrames, s"partitions=$P must be in [2, memoryFrames)")
 
-    val pool       = new FramePool(cfg.memoryFrames, cfg.frameSize)
+    val pool       = new FramePool(cfg.memoryFrames)
     val parts      = Array.tabulate(P)(new PartitionState[T](_, cfg.frameSize))
     val insertion  = cfg.insertion()
     val victim     = cfg.victim()
@@ -344,44 +344,46 @@ object DynamicHHJ {
     // Drain spilled partitions' remaining in-memory frames.
     parts.foreach(p => if (spilled(p) && p.frames.nonEmpty) flush(p))
 
-    // §8.5: reload spilled build partitions that fit in leftover memory.
-    if (cfg.reloadSpilled && numSpilled > 0) {
-      var changed = true
-      while (changed) {
-        changed = false
-        val stillSpilled = parts.filter(spilled)
-        val fit = stillSpilled
-          .filter { p =>
-            // The file's records were written from `frames` frames; expect
-            // the same on reload (the abort path below keeps an
-            // underestimate safe). Leave one probe output buffer per
-            // partition that stays spilled.
-            buildFiles(p.id).frames <= pool.available - (stillSpilled.length - 1)
-          }
-          .sortBy(p => -buildFiles(p.id).bytes)
-        fit.headOption.foreach { p =>
-          val f = buildFiles(p.id)
-          stats.io.noteRead(f.frames, f.bytes)
-          val recs = f.readAll().toArray
-          f.delete(); buildFiles(p.id) = null
-          stats.reloadedPartitions += 1
-          val stuck = recs.indexWhere(r => !tryPlace(p, r, search = true))
-          if (stuck >= 0) {
-            // The fudge guard under-estimated fragmentation (possible with
-            // near-frame-size records): write everything back out to a new
-            // file, so the partition stays spilled.
-            flush(p, recs.toSeq.drop(stuck))
-            stats.reloadedPartitions -= 1
-          }
-          changed = stuck < 0
+    // §8.5: reload spilled build partitions into leftover memory, largest
+    // build file first (ties go to the lowest id), leaving one probe output
+    // buffer per partition that stays spilled. A file's records were written
+    // from `frames` frames; expect the same on reload (the abort path below
+    // keeps an underestimate safe). One pass decides: a reload takes at
+    // least one frame (spilled partitions hold none after the drain) and
+    // leaves one fewer partition spilled, so the room never grows, and a
+    // partition that did not fit on its turn never fits later.
+    if (cfg.reloadSpilled) {
+      var aborted = false
+      for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
+           if !aborted && buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
+        val f = buildFiles(p.id)
+        stats.io.noteRead(f.frames, f.bytes)
+        val recs = f.readAll().toArray
+        f.delete(); buildFiles(p.id) = null
+        val stuck = recs.indexWhere(r => !tryPlace(p, r, search = true))
+        if (stuck < 0) stats.reloadedPartitions += 1
+        else {
+          // The records need more frames than the file's count (an
+          // insertion search, Random's above all, can pack them worse than
+          // the writes did): write everything back out to a new file, so
+          // the partition stays spilled, and stop.
+          flush(p, recs.toSeq.drop(stuck))
+          aborted = true
         }
       }
     }
 
-    // Reserve one probe output buffer per spilled partition; under G-S the
-    // residents may have grown into the whole pool, so destage until the
-    // buffers fit.
+    // Reserve one probe output buffer per spilled partition and hand each
+    // its frame; under G-S the residents may have grown into the whole
+    // pool, so destage until the buffers fit.
     while (pool.available < numSpilled) makeRoom(incoming = -1)
+    val probeBufs = Array.tabulate(P) { pid =>
+      if (buildFiles(pid) == null) null
+      else {
+        require(pool.tryAcquire(), "probe buffer reservation failed")
+        new Frame[T](cfg.frameSize)
+      }
+    }
 
     // ---------------- Hash table over resident partitions ----------------
     val resident = parts.filterNot(spilled)
@@ -391,11 +393,10 @@ object DynamicHHJ {
 
     // ---------------- Probe phase ----------------
     val probeFiles = new Array[SpillFile[T]](P)
-    val probeBufs  = new Array[Frame[T]](P)
 
     def flushProbeBuf(pid: Int): Unit = {
       val buf = probeBufs(pid)
-      if (buf == null || buf.recordCount == 0) return
+      if (buf.recordCount == 0) return
       if (probeFiles(pid) == null) probeFiles(pid) = store.newFile(s"d$depth-p$pid-probe")
       probeFiles(pid).append(buf.records.iterator.to(Iterator), 1L)
       stats.io.noteWrite(1L, buf.used.toLong)
@@ -408,26 +409,18 @@ object DynamicHHJ {
       stats.probeRecordsProcessed += 1
       val pid = SplitFun.partition(r.key, seed, P)
       if (buildFiles(pid) == null) table.probe(r, stats, emit)
-      else {
-        if (probeBufs(pid) == null) {
-          require(pool.tryAcquire(), "probe buffer reservation failed") // reserved above
-          probeBufs(pid) = new Frame[T](cfg.frameSize)
-        }
-        if (!probeBufs(pid).insert(r)) { flushProbeBuf(pid); require(probeBufs(pid).insert(r)) }
-      }
+      else if (!probeBufs(pid).insert(r)) { flushProbeBuf(pid); require(probeBufs(pid).insert(r)) }
     }
-    (0 until P).foreach(flushProbeBuf)
 
-    // Pair up the spilled files for the next rounds. A spilled build
-    // partition whose probe side is empty joins to nothing — drop it.
+    // Pair up the spilled files for the next rounds. Every file was created
+    // by a write of at least one record, and only spilled partitions have
+    // probe files; a spilled build partition whose probe side is empty
+    // joins to nothing — drop it.
     val pairs = ArrayBuffer.empty[(SpillFile[T], SpillFile[T], Long)]
-    (0 until P).foreach { pid =>
-      val (bf, pf) = (buildFiles(pid), probeFiles(pid))
-      if (bf != null && pf != null && bf.records > 0 && pf.records > 0) pairs += ((bf, pf, roundBuild))
-      else {
-        if (bf != null) bf.delete()
-        if (pf != null) pf.delete()
-      }
+    for (pid <- 0 until P if buildFiles(pid) != null) {
+      flushProbeBuf(pid)
+      if (probeFiles(pid) != null) pairs += ((buildFiles(pid), probeFiles(pid), roundBuild))
+      else buildFiles(pid).delete()
     }
     pairs.toSeq
   }

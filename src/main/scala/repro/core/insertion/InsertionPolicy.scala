@@ -15,8 +15,8 @@ final class SearchStats {
   * incoming record's size, pick an in-memory frame with enough free space,
   * or report that a new frame must be appended.
   *
-  * Implementations are instantiated per join round and may keep state (the
-  * engine additionally maintains the Next-Fit cursor on [[PartitionState]]).
+  * Implementations are instantiated per join round and may keep state
+  * (Next-Fit keeps its cursor on [[PartitionState]]).
   */
 trait InsertionPolicy {
   def name: String
@@ -28,12 +28,9 @@ trait InsertionPolicy {
   def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int
 
   /** Hook invoked after the record landed in frame `idx` (possibly a newly
-    * appended frame). Default maintains the Next-Fit cursor; harmless for
-    * the other policies.
+    * appended frame); does nothing unless a policy overrides it.
     */
-  def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit = {
-    p.cursor = idx; p.lastInsertSize = size
-  }
+  def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit = ()
 
   /** The first frame from `from` down to `stop` (inclusive) with at least
     * `size` free bytes, or -1; counts every examined frame.
@@ -126,6 +123,10 @@ final class NextFit extends InsertionPolicy {
       val i = scanDown(p, size, c, 0, stats)
       if (i >= 0) i else scanUp(c + 1)
     }
+  }
+
+  override def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit = {
+    p.cursor = idx; p.lastInsertSize = size
   }
 }
 

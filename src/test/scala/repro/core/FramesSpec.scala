@@ -71,12 +71,12 @@ class FramesSpec extends AnyFunSuite {
   // ---------------- FramePool ----------------
 
   test("pool starts with all frames available") {
-    val p = new FramePool(8, 1024)
+    val p = new FramePool(8)
     assert(p.available == 8 && p.used == 0)
   }
 
   test("pool acquire/release round-trips") {
-    val p = new FramePool(4, 1024)
+    val p = new FramePool(4)
     assert(p.tryAcquire() && p.tryAcquire())
     assert(p.used == 2 && p.available == 2)
     p.release(2)
@@ -84,19 +84,19 @@ class FramesSpec extends AnyFunSuite {
   }
 
   test("pool denies acquisition beyond capacity") {
-    val p = new FramePool(2, 1024)
+    val p = new FramePool(2)
     assert(p.tryAcquire() && p.tryAcquire())
     assert(!p.tryAcquire())
   }
 
   test("pool rejects over-release") {
-    val p = new FramePool(2, 1024)
+    val p = new FramePool(2)
     p.tryAcquire()
     intercept[IllegalArgumentException](p.release(2))
   }
 
   test("pool requires at least two frames") {
-    intercept[IllegalArgumentException](new FramePool(1, 1024))
+    intercept[IllegalArgumentException](new FramePool(1))
   }
 
   // ---------------- PartitionState ----------------
