@@ -18,25 +18,56 @@ final case class JoinRec[T](key: Long, size: Int, payload: T)
   * disk transfer. Records never move between frames and are never deleted
   * individually — a whole partition spills at once (paper §5, "no deletions
   * apart from partition spilling").
+  *
+  * The frame is a record directory: record refs and their keys in two
+  * parallel arrays, in insertion order, so the engine's hash table takes a
+  * frame's keys by array copy without touching the records.
   */
 final class Frame[T](val capacity: Int) {
-  private val recs      = ArrayBuffer.empty[JoinRec[T]]
+  private var recs      = new Array[AnyRef](Frame.InitialSlots)
+  private var keys      = new Array[Long](Frame.InitialSlots)
+  private var n         = 0
   private var usedBytes = 0
 
   def free: Int        = capacity - usedBytes
   def used: Int        = usedBytes
-  def recordCount: Int = recs.size
+  def recordCount: Int = n
   def fullness: Double = usedBytes.toDouble / capacity
 
-  /** Records currently in the frame (read-only view). */
-  def records: scala.collection.Seq[JoinRec[T]] = recs
+  /** The records in insertion order, read in place: insert nothing and do
+    * not clear the frame until the iterator is consumed.
+    */
+  def iterator: Iterator[JoinRec[T]] = new scala.collection.AbstractIterator[JoinRec[T]] {
+    private var i          = 0
+    def hasNext: Boolean   = i < n
+    def next(): JoinRec[T] = { val r = recs(i).asInstanceOf[JoinRec[T]]; i += 1; r }
+  }
+
+  /** Record refs and keys; slots `[0, recordCount)` are the records. */
+  private[core] def refArray: Array[AnyRef] = recs
+  private[core] def keyArray: Array[Long]   = keys
 
   /** Insert if the record's declared size fits; returns false otherwise. */
   def insert(r: JoinRec[T]): Boolean =
-    if (r.size <= free) { recs += r; usedBytes += r.size; true } else false
+    if (r.size <= free) {
+      if (n == recs.length) {
+        recs = java.util.Arrays.copyOf(recs, 2 * n)
+        keys = java.util.Arrays.copyOf(keys, 2 * n)
+      }
+      recs(n) = r
+      keys(n) = r.key
+      n += 1
+      usedBytes += r.size
+      true
+    } else false
 
   /** Drop all records, keeping the frame allocated (output-buffer reuse). */
-  def clear(): Unit = { recs.clear(); usedBytes = 0 }
+  def clear(): Unit = { java.util.Arrays.fill(recs, 0, n, null); n = 0; usedBytes = 0 }
+}
+
+object Frame {
+  /** Directory slots a new frame starts with; they double when full. */
+  private[core] val InitialSlots = 16
 }
 
 /** The join operator's memory budget, counted in frames.

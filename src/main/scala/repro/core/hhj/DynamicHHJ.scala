@@ -60,32 +60,51 @@ object DynamicHHJ {
   // Hash table and the block join over a spilled file pair
   // ------------------------------------------------------------------
 
+  /** Probe records handed to `HashTable.probeBatch` at a time. */
+  private val ProbeBatch = 32
+
   /** Build records chained by their 64-bit key over flat arrays: record
     * refs and keys in insertion order, a power-of-two bucket-head array
     * indexed by a multiplicative hash of the key, and one `next` link per
-    * record. Fill with `add`, `seal` once, then `probe`; `clear` empties it
-    * for refilling and keeps the arrays. Links are 1-based so that 0, a
-    * fresh array's value, ends a chain.
+    * record. Fill with `add` or `addFrame`, `seal` once, then `probeBatch`;
+    * `clear` empties it for refilling and keeps the arrays. Links are
+    * 1-based so that 0, a fresh array's value, ends a chain.
     */
   private final class HashTable[T](capacity: Int) {
-    private var recs  = new Array[AnyRef](math.max(capacity, 1))
-    private var keys  = new Array[Long](recs.length)
-    private var next  = new Array[Int](recs.length)
-    private var heads = new Array[Int](2)
-    private var shift = 63
-    private var n     = 0
+    private var recs       = new Array[AnyRef](math.max(capacity, 1))
+    private var keys       = new Array[Long](recs.length)
+    private var next       = new Array[Int](recs.length)
+    private var heads      = new Array[Int](2)
+    private var shift      = 63
+    private var n          = 0
+    private val batchHeads = new Array[Int](ProbeBatch)
 
-    def add(r: JoinRec[T]): Unit = {
-      if (n == recs.length) {
-        val len = math.min(2L * n, Int.MaxValue - 8L).toInt
-        require(len > n, s"hash table cannot hold more than $n records")
+    /** Grow the arrays, doubling at least, until `m` more records fit. */
+    private def reserve(m: Int): Unit =
+      if (n.toLong + m > recs.length) {
+        val len = math.min(math.max(2L * recs.length, n.toLong + m), Int.MaxValue - 8L).toInt
+        require(len >= n.toLong + m, s"hash table cannot hold more than $len records")
         recs = java.util.Arrays.copyOf(recs, len)
         keys = java.util.Arrays.copyOf(keys, len)
         next = new Array[Int](len)
       }
+
+    def add(r: JoinRec[T]): Unit = {
+      reserve(1)
       recs(n) = r
       keys(n) = r.key
       n += 1
+    }
+
+    /** Adds a frame's records in frame order by copying its directory; no
+      * record is read.
+      */
+    def addFrame(f: Frame[T]): Unit = {
+      val m = f.recordCount
+      reserve(m)
+      System.arraycopy(f.refArray, 0, recs, n, m)
+      System.arraycopy(f.keyArray, 0, keys, n, m)
+      n += m
     }
 
     private def bucket(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
@@ -109,16 +128,26 @@ object DynamicHHJ {
 
     def clear(): Unit = n = 0
 
-    /** Emits `(buildRec, r)` for every build record with `r`'s key, in the
-      * order they were added.
+    /** Emits `(buildRec, r)` for each of the first `count` probe records
+      * `r` of `rs` and every build record with `r`'s key: probe records in
+      * their order, each one's matches in the order they were added. All
+      * bucket heads are loaded before any chain is walked, so the batch's
+      * cache misses on the head array overlap instead of queueing.
       */
-    def probe(r: JoinRec[T], stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
-      val k = r.key
-      var j = heads(bucket(k))
-      while (j != 0) {
-        val i = j - 1
-        if (keys(i) == k) { stats.outputRecords += 1; emit(recs(i).asInstanceOf[JoinRec[T]], r) }
-        j = next(i)
+    def probeBatch(rs: Array[JoinRec[T]], count: Int, stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
+      var b = 0
+      while (b < count) { batchHeads(b) = heads(bucket(rs(b).key)); b += 1 }
+      b = 0
+      while (b < count) {
+        val r = rs(b)
+        val k = r.key
+        var j = batchHeads(b)
+        while (j != 0) {
+          val i = j - 1
+          if (keys(i) == k) { stats.outputRecords += 1; emit(recs(i).asInstanceOf[JoinRec[T]], r) }
+          j = next(i)
+        }
+        b += 1
       }
     }
   }
@@ -139,6 +168,7 @@ object DynamicHHJ {
     val bIt      = b.readAll()
     val perBlock = if (blockBytes >= b.bytes) b.records else math.ceil(b.records.toDouble * blockBytes / b.bytes).toLong
     val table    = new HashTable[T](math.min(perBlock, Int.MaxValue - 8L).toInt)
+    val batch    = new Array[JoinRec[T]](ProbeBatch)
     stats.io.noteRead(b.frames, b.bytes)
     while (bIt.hasNext) {
       table.clear()
@@ -151,7 +181,13 @@ object DynamicHHJ {
       }
       table.seal()
       stats.io.noteRead(p.frames, p.bytes)
-      p.readAll().foreach { r => stats.probeRecordsProcessed += 1; table.probe(r, stats, emit) }
+      val pIt = p.readAll()
+      while (pIt.hasNext) {
+        var m = 0
+        while (m < ProbeBatch && pIt.hasNext) { batch(m) = pIt.next(); m += 1 }
+        stats.probeRecordsProcessed += m
+        table.probeBatch(batch, m, stats, emit)
+      }
     }
   }
 
@@ -246,7 +282,7 @@ object DynamicHHJ {
       val n       = p.frames.size.toLong
       val written = p.bytesInMemory + extra.iterator.map(_.size.toLong).sum
       if (!spilled(p)) buildFiles(p.id) = store.newFile(s"d$depth-p${p.id}-build")
-      buildFiles(p.id).append(p.frames.iterator.flatMap(_.records.iterator) ++ extra.iterator, n)
+      buildFiles(p.id).append(p.frames.iterator.flatMap(_.iterator) ++ extra.iterator, n)
       stats.io.noteWrite(n, written)
       stats.buildIo.noteWrite(n, written)
       pool.release(p.dropAllFrames())
@@ -388,7 +424,7 @@ object DynamicHHJ {
     // ---------------- Hash table over resident partitions ----------------
     val resident = parts.filterNot(spilled)
     val table    = new HashTable[T](resident.iterator.map(_.recordsInMemory).sum.toInt)
-    resident.foreach(_.frames.foreach(_.records.foreach(table.add)))
+    resident.foreach(_.frames.foreach(table.addFrame))
     table.seal()
 
     // ---------------- Probe phase ----------------
@@ -398,19 +434,26 @@ object DynamicHHJ {
       val buf = probeBufs(pid)
       if (buf.recordCount == 0) return
       if (probeFiles(pid) == null) probeFiles(pid) = store.newFile(s"d$depth-p$pid-probe")
-      probeFiles(pid).append(buf.records.iterator.to(Iterator), 1L)
+      probeFiles(pid).append(buf.iterator, 1L)
       stats.io.noteWrite(1L, buf.used.toLong)
       buf.clear()
     }
 
+    // Resident-partition records are probed in batches, in probe order.
+    val batch   = new Array[JoinRec[T]](ProbeBatch)
+    var batched = 0
     while (probeIt.hasNext) {
       val r = probeIt.next()
       require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
       stats.probeRecordsProcessed += 1
       val pid = SplitFun.partition(r.key, seed, P)
-      if (buildFiles(pid) == null) table.probe(r, stats, emit)
-      else if (!probeBufs(pid).insert(r)) { flushProbeBuf(pid); require(probeBufs(pid).insert(r)) }
+      if (buildFiles(pid) == null) {
+        batch(batched) = r
+        batched += 1
+        if (batched == ProbeBatch) { table.probeBatch(batch, batched, stats, emit); batched = 0 }
+      } else if (!probeBufs(pid).insert(r)) { flushProbeBuf(pid); require(probeBufs(pid).insert(r)) }
     }
+    table.probeBatch(batch, batched, stats, emit)
 
     // Pair up the spilled files for the next rounds. Every file was created
     // by a write of at least one record, and only spilled partitions have

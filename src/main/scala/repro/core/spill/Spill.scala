@@ -42,7 +42,9 @@ final class IOStats {
 /** One spilled partition's temporary file (build or probe side). */
 trait SpillFile[T] {
   /** Append records that occupied `nFrames` frames; physical-pattern
-    * accounting (seq/random) is the engine's job, not the store's.
+    * accounting (seq/random) is the engine's job, not the store's. `recs`
+    * must be read to the end before this returns: the engine passes frames'
+    * records in place and clears or drops the frames afterwards.
     */
   def append(recs: Iterator[JoinRec[T]], nFrames: Long): Unit
 

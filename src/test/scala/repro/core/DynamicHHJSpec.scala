@@ -4,7 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.frames.{JoinRec, PartitionState}
+import repro.core.frames.{JoinRec, PartitionState, SplitFun}
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion._
@@ -421,6 +421,49 @@ class DynamicHHJSpec extends AnyFunSuite {
         val got = byProbe.getOrElse(r.payload.intValue, Vector.empty).map(_._1)
         assert(got == buildIds(r.key), s"$name: probe key ${r.key}")
       }
+    }
+  }
+
+  test("batched probe boundaries: 0, 1, 31, 32, 33 and 65 resident probe records keep the emit order") {
+    val cfg = HHJConfig(
+      memoryFrames = 16,
+      frameSize = 1024,
+      partitionRule = PartitionRule.Dynamic(firstRound = 2, laterLowerBound = 2),
+      roleReversal = false,
+    )
+    def part(k: Long) = SplitFun.partition(k, cfg.seed, 2)
+    val (k0, k1)      = (0L until 2000L).partition(part(_) == 0)
+    val hot           = k0.head
+    // 40 B records: every frame but a partition's newest is full, so frames
+    // and spill files keep input order. Partition 0 fills 7 frames: the hot
+    // key more often than a probe batch holds, then 45 keys 3 times each.
+    // Partition 1 fills 11, so it is the larger when memory runs out; it
+    // spills and is joined in memory (§8.3) in round 2.
+    def rec(k: Long, id: Int) = JoinRec[Integer](k, 40, Int.box(id))
+    val b0       = Seq.fill(40)(hot) ++ (0 until 135).map(i => k0(1 + i % 45))
+    val b1       = (0 until 275).map(i => k1(i % 100))
+    val build    = (b0 ++ b1).zipWithIndex.map { case (k, i) => rec(k, i) }.toVector
+    val buildIds = build.groupBy(_.key).map { case (k, rs) => k -> rs.map(_.payload.intValue) }
+    // Resident and spilled-partition probe records alternate, so batches
+    // straddle the flushes of partition 1's 25-record probe buffer. Every
+    // fourth resident record has the hot key; k0(46..59) and k1(100..119)
+    // have no build records.
+    val spilledProbes = 80
+    for (resident <- Seq(0, 1, 31, 32, 33, 65)) {
+      val keys = (0 until math.max(resident, spilledProbes)).flatMap { i =>
+        (if (i < resident) Seq(if (i % 4 == 0) hot else k0(1 + i * 7 % 59)) else Nil) ++
+          (if (i < spilledProbes) Seq(k1(i % 120)) else Nil)
+      }
+      val probe          = keys.zipWithIndex.map { case (k, i) => rec(k, 100000 + i) }.toVector
+      val (pairs, stats) = emitted(build, probe, cfg)
+      val name           = s"$resident resident probe records"
+      assert(stats.round1SpilledPartitions == 1 && stats.round1ResidentBytes == 40L * b0.size, name)
+      assert(stats.inMemoryRounds == 1 && stats.probeSpillBytes == 40L * spilledProbes, name)
+      // Round 1 emits the resident records' matches in probe order; round 2
+      // then joins partition 1's, also in probe order.
+      val (inTable, spilled) = probe.partition(r => part(r.key) == 0)
+      val expected = (inTable ++ spilled).flatMap(r => buildIds.getOrElse(r.key, Vector.empty).map(_ -> r.payload.intValue))
+      assert(pairs == expected, name)
     }
   }
 

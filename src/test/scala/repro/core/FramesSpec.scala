@@ -48,14 +48,35 @@ class FramesSpec extends AnyFunSuite {
     f.insert(JoinRec(1L, 100, null))
     f.insert(JoinRec(2L, 100, null))
     f.clear()
-    assert(f.free == 512 && f.recordCount == 0 && f.records.isEmpty)
+    assert(f.free == 512 && f.recordCount == 0 && f.iterator.isEmpty)
   }
 
   test("records view returns inserted records in order") {
     val f = new Frame[Integer](1024)
     f.insert(JoinRec(1L, 10, Int.box(1)))
     f.insert(JoinRec(2L, 10, Int.box(2)))
-    assert(f.records.map(_.payload.intValue).toSeq == Seq(1, 2))
+    assert(f.iterator.map(_.payload.intValue).toSeq == Seq(1, 2))
+  }
+
+  test("a frame holding more records than its initial directory grows keys and refs in step") {
+    val n = 3 * Frame.InitialSlots + 1
+    val f = new Frame[Integer](1024)
+    (0 until n).foreach(i => assert(f.insert(JoinRec(1000L + i, 1, Int.box(i)))))
+    assert(f.recordCount == n && f.used == n)
+    assert(f.iterator.map(_.payload.intValue).toSeq == (0 until n))
+    (0 until n).foreach { i =>
+      assert(f.keyArray(i) == 1000L + i)
+      assert(f.refArray(i).asInstanceOf[JoinRec[Integer]].payload.intValue == i)
+    }
+  }
+
+  test("after clear() a frame holds no reference to a cleared record") {
+    val f = new Frame[Integer](1024)
+    (0 until 2 * Frame.InitialSlots).foreach(i => f.insert(JoinRec(i.toLong, 10, Int.box(i))))
+    f.clear()
+    assert(f.refArray.forall(_ == null))
+    f.insert(JoinRec(7L, 10, Int.box(7)))
+    assert(f.iterator.map(_.payload.intValue).toSeq == Seq(7))
   }
 
   test("frame fullness accumulates over inserts (property)") {

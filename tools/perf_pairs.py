@@ -1,18 +1,28 @@
 #!/usr/bin/env python3
-"""Compares two checkouts on one perfbench workload in alternating pairs.
+"""Compares two checkouts on perfbench workloads in alternating pairs.
 
-    python3 tools/perf_pairs.py --parent DIR --change DIR --workload W \\
-        --pairs 10 --first-seed 211 [--seconds 15] [--json FILE]
+    python3 tools/perf_pairs.py --parent DIR --change DIR \\
+        --workload W [--workload W2 ...] --pairs 10 --first-seed 211 \\
+        [--seconds 15] [--json FILE]
 
-Pair i runs ``perfbench/run.py --trace 0`` on seed ``first-seed + i`` in
-both checkouts, the parent first on even pairs and the change first on odd
-ones, so drift on a shared machine does not favour one side. It prints every
-pair, then each side's median and quartiles of ``join_s_p50``, the share of
-pairs the change won (ties count for neither side), and whether ``io_mb``
-matched on every seed. A gain is claimed only when the change won at least
-nine tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range. Each checkout builds its own program on its
-first run.
+For each workload, pair i runs ``perfbench/run.py --trace 0`` on seed
+``first-seed + i`` in both checkouts, the parent first on even pairs and the
+change first on odd ones, so drift on a shared machine does not favour one
+side. It prints every pair, then one row per workload over every end-to-end
+metric ``BENCHMARK.json`` gates:
+
+- ``join_s_p50``: each side's median and quartiles, the pairs the change won
+  (ties count for neither side), and whether a gain may be claimed: the
+  change won at least nine tenths of the pairs and its median beats the
+  parent's by more than the parent's interquartile range;
+- ``setup_s``: each side's median and quartiles;
+- ``io_mb``: on how many seeds both sides read the same value (it is
+  deterministic per seed, so anything short of all of them is a change in
+  behaviour).
+
+Every metric also shows the change's median against the parent's, and
+``WORSE`` when it is worse by more than the metric's bound. Each checkout
+builds its own program on its first run.
 """
 
 import argparse
@@ -22,11 +32,13 @@ import statistics
 import subprocess
 import sys
 
-METRIC = "join_s_p50"
+CLAIM = "join_s_p50"
+# Deterministic per seed: compared for identity, not spread.
+EXACT = {"io_mb"}
 
 
 def run(checkout, workload, seed, seconds):
-    """One untraced run; returns its result dict, or None if it failed."""
+    """One untraced run; returns its end-to-end metrics, or None if it failed."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -47,11 +59,62 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def gated(checkout):
+    """The end-to-end metrics ``BENCHMARK.json`` gates, as (name, better, bound)."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+
+
+def pairs(sides, workload, n, first_seed, seconds):
+    rows = []
+    for i in range(n):
+        seed = first_seed + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        got = {side: run(sides[side], workload, seed, seconds) for side in order}
+        rows.append({"seed": seed, "first": order[0], **got})
+        p, c = got["parent"], got["change"]
+        if p is None or c is None:
+            print(f"{workload} seed {seed} ({order[0]} first): a run failed", flush=True)
+            continue
+        print(f"{workload} seed {seed} ({order[0]} first): "
+              + ", ".join(f"{m} {p[m]:.3f} -> {c[m]:.3f}" for m in p), flush=True)
+    return rows
+
+
+def summarize(workload, rows, metrics):
+    """One report row for a workload; returns (text, whether every pair ran)."""
+    done = [r for r in rows if r["parent"] is not None and r["change"] is not None]
+    cells = [f"{workload:<13} pairs {len(done)}/{len(rows)}"]
+    if not done:
+        return "  ".join(cells), False
+    for name, better, bound in metrics:
+        par = [r["parent"][name] for r in done]
+        chg = [r["change"][name] for r in done]
+        pq, cq = quartiles(par), quartiles(chg)
+        worse = (cq[1] - pq[1]) if better == "lower" else (pq[1] - cq[1])
+        flag = " WORSE" if pq[1] and worse / abs(pq[1]) > bound else ""
+        rel = f"{(cq[1] / pq[1] - 1):+.1%}" if pq[1] else "n/a"
+        if name in EXACT:
+            same = sum(r["parent"][name] == r["change"][name] for r in done)
+            cells.append(f"{name} identical on {same}/{len(done)} seeds ({rel}){flag}")
+            continue
+        cell = f"{name} {pq[1]:.3f} [{pq[0]:.3f} {pq[2]:.3f}] -> {cq[1]:.3f} [{cq[0]:.3f} {cq[2]:.3f}] ({rel}){flag}"
+        if name == CLAIM:
+            wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(par, chg))
+            gap = -worse
+            iqr = pq[2] - pq[0]
+            gain = len(done) == len(rows) and wins >= 0.9 * len(done) and gap > iqr
+            cell += f" won {wins}/{len(done)}, gap {gap:.3f} vs IQR {iqr:.3f}, gain {'claimable' if gain else 'not claimable'}"
+        cells.append(cell)
+    return "  ".join(cells), len(done) == len(rows)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append", help="repeat for several workloads")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=15)
@@ -59,44 +122,20 @@ def main():
     a = ap.parse_args()
 
     sides = {"parent": os.path.abspath(a.parent), "change": os.path.abspath(a.change)}
-    rows = []
-    for i in range(a.pairs):
-        seed = a.first_seed + i
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        got = {side: run(sides[side], a.workload, seed, a.seconds) for side in order}
-        rows.append({"seed": seed, "first": order[0], **got})
-        p, c = got["parent"], got["change"]
-        if p is None or c is None:
-            print(f"seed {seed} ({order[0]} first): a run failed")
-            continue
-        print(f"seed {seed} ({order[0]} first): {METRIC} {p[METRIC]:.3f} -> {c[METRIC]:.3f} s, "
-              f"setup_s {p['setup_s']:.2f} -> {c['setup_s']:.2f} s, io_mb {p['io_mb']:.2f} / {c['io_mb']:.2f}",
-              flush=True)
+    metrics = gated(sides["change"])
+    runs = {w: pairs(sides, w, a.pairs, a.first_seed, a.seconds) for w in a.workload}
 
     if a.json:
         with open(a.json, "w") as fh:
-            json.dump({"workload": a.workload, "seconds": a.seconds, "pairs": rows}, fh, indent=1)
+            json.dump({"seconds": a.seconds, "workloads": runs}, fh, indent=1)
 
-    done = [r for r in rows if r["parent"] is not None and r["change"] is not None]
-    if not done:
-        print("no pair completed")
-        return 1
-    summary = {}
-    for side in ("parent", "change"):
-        q1, q2, q3 = quartiles([r[side][METRIC] for r in done])
-        summary[side] = (q1, q2, q3)
-        print(f"{side}: {METRIC} median {q2:.3f} s, quartiles {q1:.3f} / {q3:.3f} s")
-    wins = sum(r["change"][METRIC] < r["parent"][METRIC] for r in done)
-    io_same = all(r["change"]["io_mb"] == r["parent"]["io_mb"] for r in done)
-    parent_iqr = summary["parent"][2] - summary["parent"][0]
-    gap = summary["parent"][1] - summary["change"][1]
-    print(f"change won {wins}/{len(done)} pairs ({wins / len(done):.0%}); {len(rows) - len(done)} pairs failed")
-    print(f"median gap {gap:.3f} s vs parent IQR {parent_iqr:.3f} s; ratio parent/change "
-          f"{summary['parent'][1] / summary['change'][1]:.2f}x")
-    print(f"io_mb identical on every seed: {io_same}")
-    gain = len(done) == len(rows) and wins >= 0.9 * len(done) and gap > parent_iqr
-    print(f"gain claimable: {gain}")
-    return 0 if len(done) == len(rows) else 1
+    complete = True
+    print()
+    for w in a.workload:
+        text, ok = summarize(w, runs[w], metrics)
+        complete = complete and ok
+        print(text)
+    return 0 if complete else 1
 
 
 if __name__ == "__main__":
