@@ -7,7 +7,8 @@ import repro.wisconsin.{KeyDist, RecordSpec}
 /** Figures 13-17: the 13 victim selection policies under join-attribute
   * skew (Fig 13), variable record sizes (Figs 14-15), and both combined
   * (Figs 16-17). Metric: round-1 build-phase spilled bytes over the ideal
-  * spill of a perfectly-informed HHJ (fudge 1.4).
+  * spill of a perfectly-informed HHJ at fudge 1.0 (`Studies.victimStudy`;
+  * DESIGN §3 says why not the paper's 1.4).
   *
   * Paper findings to reproduce:
   *   - Fig 13a (no skew, uniform sizes): all 13 policies perform alike.

@@ -2,14 +2,21 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.types._
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalent(sparkDf, sql, tables)`` loads each of ``tables`` into
+  * an in-process DuckDB, runs ``sql`` there and asserts that its rows equal
+  * ``sparkDf``'s as a multiset. This catches wrong results from a rewritten
+  * plan or a custom operator — "it ran" is not "it is correct".
+  *
+  * Each table's DuckDB column types follow its Spark schema: integral
+  * columns become BIGINT, floating-point ones DOUBLE, dates DATE and
+  * anything else VARCHAR. So ``sql`` can select ``alias.*`` and compare an
+  * INT column with a BIGINT one. Values are compared as text, doubles to six
+  * decimals, NULL as ``∅``.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -17,9 +24,15 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
+  private def duckType(t: DataType): String = t match {
+    case LongType | IntegerType | ShortType => "BIGINT"
+    case DoubleType | FloatType             => "DOUBLE"
+    case DateType                           => "DATE"
+    case _                                  => "VARCHAR"
+  }
+
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
+    val idx = cols.sorted.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
@@ -30,27 +43,24 @@ object Oracle {
           case x                    => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, String])
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val conn = DriverManager.getConnection("jdbc:duckdb:").unwrap(classOf[DuckDBConnection])
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
+        val fields = df.schema.fields
+        val cols   = fields.map(f => s"${f.name} ${duckType(f.dataType)}")
+        conn.createStatement.execute(s"CREATE TABLE $name (${cols.mkString(", ")})")
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        // DuckDB casts each value's text into its column's type.
+        val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          fields.indices.foreach(i => app.append(if (r.isNullAt(i)) null else r.get(i).toString))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

@@ -292,23 +292,16 @@ object DynamicHHJ {
       * that triggered the pressure.
       */
     def makeRoom(incoming: Int): Unit = {
-      if (cfg.growth == GrowthPolicy.GS) {
-        // Steal: flush the spilled partition holding the most frames first.
-        // A 1-frame accumulation is not worth stealing while a resident
-        // victim exists — flushing it would fragment G-S's sequential
-        // chunks into the very single-frame writes the policy avoids.
-        var best: PartitionState[T] = null
-        var i                       = 0
-        while (i < P) {
-          val p = parts(i)
-          if (spilled(p) && p.frames.nonEmpty && (best == null || p.frames.size > best.frames.size)) best = p
-          i += 1
-        }
-        if (best != null && best.frames.size >= 2) { flush(best); return }
-        val anyResident = parts.exists(p => !spilled(p) && p.frames.nonEmpty)
-        if (best != null && !anyResident) { flush(best); return }
-      }
       val candidates = parts.iterator.filter(p => !spilled(p) && p.frames.nonEmpty).toIndexedSeq
+      if (cfg.growth == GrowthPolicy.GS) {
+        // Steal: flush the spilled partition holding the most frames first
+        // (the lowest id among ties). A 1-frame accumulation is not worth
+        // stealing while a resident victim exists — flushing it would
+        // fragment G-S's sequential chunks into the very single-frame writes
+        // the policy avoids.
+        val best = parts.iterator.filter(p => spilled(p) && p.frames.nonEmpty).maxByOption(_.frames.size)
+        if (best.exists(b => b.frames.size >= 2 || candidates.isEmpty)) { flush(best.get); return }
+      }
       if (candidates.isEmpty)
         throw new IllegalStateException(
           s"no victim available: P=$P M=${cfg.memoryFrames} — memory too small for partition count")

@@ -29,7 +29,7 @@ object PartitionRule {
   }
 
   /** Partition count for a later round; `Dynamic` applies Equation 2 with
-    * Table 1's fudge factor (1.3).
+    * Table 1's fudge factor ([[Shapiro.Fudge]], 1.3).
     */
   def forRound(rule: PartitionRule, buildBytes: Long, memoryFrames: Int, frameSize: Int): Int =
     rule match {
@@ -56,7 +56,7 @@ object PartitionRule {
   *                      partitions that fit in leftover memory
   *
   * The later rounds' fixed thresholds are not configurable: Equation 2 uses
-  * Table 1's fudge factor 1.3 ([[Shapiro.roundPartitions]]), and §8.3's
+  * Table 1's fudge factor 1.3 ([[Shapiro.Fudge]]), and §8.3's
   * fits-in-memory allowance, §8.1's bail-out and the depth cap are
   * constants in [[DynamicHHJ]].
   */

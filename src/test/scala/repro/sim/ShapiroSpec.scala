@@ -40,22 +40,22 @@ class ShapiroSpec extends AnyFunSuite {
   test("roundPartitions applies the paper's default lower bound of 20") {
     // A build slightly larger than memory would get few Eq.-2 partitions;
     // the §4 lower bound lifts it to 20.
-    val p = Shapiro.roundPartitions(buildFrames = 5000, memoryFrames = 4096, fudge = 1.3, lowerBound = 20)
+    val p = Shapiro.roundPartitions(buildFrames = 5000, memoryFrames = 4096, lowerBound = 20)
     assert(p == 20)
   }
 
   test("roundPartitions keeps Eq. 2 when it already exceeds the lower bound") {
-    val p = Shapiro.roundPartitions(buildFrames = mb(4096) / frameSize, memoryFrames = 4096, fudge = 1.3, lowerBound = 20)
+    val p = Shapiro.roundPartitions(buildFrames = mb(4096) / frameSize, memoryFrames = 4096, lowerBound = 20)
     assert(p == 41)
   }
 
   test("roundPartitions never exceeds memoryFrames - 1") {
-    val p = Shapiro.roundPartitions(buildFrames = 100000, memoryFrames = 16, fudge = 1.3, lowerBound = 20)
+    val p = Shapiro.roundPartitions(buildFrames = 100000, memoryFrames = 16, lowerBound = 20)
     assert(p == 15)
   }
 
   test("roundPartitions caps the lower bound by available memory") {
-    val p = Shapiro.roundPartitions(buildFrames = 10, memoryFrames = 8, fudge = 1.3, lowerBound = 20)
+    val p = Shapiro.roundPartitions(buildFrames = 10, memoryFrames = 8, lowerBound = 20)
     assert(p >= 2 && p <= 7)
   }
 

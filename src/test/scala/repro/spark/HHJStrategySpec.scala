@@ -1,8 +1,5 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.types._
-
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.hhj.{HHJConfig, PartitionRule}
 
@@ -17,16 +14,6 @@ class HHJStrategySpec extends SparkSpec {
     frameSize = 4 * 1024,
     partitionRule = PartitionRule.Dynamic(firstRound = 8, laterLowerBound = 2),
   )
-
-  private def castSelect(df: DataFrame, alias: String): String =
-    df.schema.fields.map { f =>
-      val c = s"$alias.${f.name}"
-      f.dataType match {
-        case LongType | IntegerType | ShortType => s"CAST($c AS BIGINT) AS ${f.name}"
-        case DoubleType | FloatType             => s"CAST($c AS DOUBLE) AS ${f.name}"
-        case _                                  => s"$c AS ${f.name}"
-      }
-    }.mkString(", ")
 
   private def withStrategy[A](f: => A): A = {
     HHJStrategy.install(spark, cfg)
@@ -53,7 +40,7 @@ class HHJStrategySpec extends SparkSpec {
       val joined = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
       Oracle.assertEquivalent(
         joined,
-        s"SELECT ${castSelect(li, "l")}, ${castSelect(ord, "o")} FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
+        "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
         "lineitem" -> li,
         "orders"   -> ord,
       )
@@ -72,7 +59,7 @@ class HHJStrategySpec extends SparkSpec {
       assert(joined.queryExecution.executedPlan.toString.contains("DynamicHHJ"))
       Oracle.assertEquivalent(
         joined,
-        s"SELECT ${castSelect(ord, "o")}, ${castSelect(cust, "c")} FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
+        "SELECT o.*, c.* FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
         "orders"   -> ord,
         "customer" -> cust,
       )
@@ -90,7 +77,7 @@ class HHJStrategySpec extends SparkSpec {
       assert(joined.queryExecution.executedPlan.toString.contains("DynamicHHJ"))
       Oracle.assertEquivalent(
         joined,
-        s"SELECT ${castSelect(a, "a")}, ${castSelect(b, "b")} FROM a JOIN b ON a.k1 = b.j1 AND a.k2 = b.j2",
+        "SELECT a.*, b.* FROM a JOIN b ON a.k1 = b.j1 AND a.k2 = b.j2",
         "a" -> a,
         "b" -> b,
       )

@@ -19,19 +19,6 @@ import repro.core.victim.{SmallestSize, VictimPolicy}
   */
 class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
-  /** SELECT list that re-types the oracle's VARCHAR columns to match Spark's
-    * row types (numerics cast; dates/strings compared as text).
-    */
-  private def castSelect(df: DataFrame, alias: String): String =
-    df.schema.fields.map { f =>
-      val c = s"$alias.${f.name}"
-      f.dataType match {
-        case LongType | IntegerType | ShortType => s"CAST($c AS BIGINT) AS ${f.name}"
-        case DoubleType | FloatType             => s"CAST($c AS DOUBLE) AS ${f.name}"
-        case _                                  => s"$c AS ${f.name}"
-      }
-    }.mkString(", ")
-
   private def amplecfg  = HHJConfig(memoryFrames = 1024, frameSize = 32 * 1024)
   // 24 frames x 1 KB = a 24 KB budget per Spark partition: small enough that
   // the build side (orders at SF 0.002 over 4 partitions is ~40 KB) spills.
@@ -47,7 +34,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(li, ord, Seq("l_orderkey"), Seq("o_orderkey"), amplecfg, numPartitions = 8)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(li, "l")}, ${castSelect(ord, "o")} FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
+      "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
       "lineitem" -> li,
       "orders"   -> ord,
     )
@@ -60,7 +47,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(li, ord, Seq("l_orderkey"), Seq("o_orderkey"), tinyCfg, numPartitions = 4)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(li, "l")}, ${castSelect(ord, "o")} FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
+      "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
       "lineitem" -> li,
       "orders"   -> ord,
     )
@@ -74,7 +61,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(ord, cust, Seq("o_custkey"), Seq("c_custkey"), tinyCfg, numPartitions = 4)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(ord, "o")}, ${castSelect(cust, "c")} FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
+      "SELECT o.*, c.* FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey",
       "orders"   -> ord,
       "customer" -> cust,
     )
@@ -89,7 +76,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(probe, build, Seq("k"), Seq("bk"), tinyCfg, numPartitions = 4)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(probe, "p")}, ${castSelect(build, "b")} FROM probe p JOIN build b ON p.k = b.bk",
+      "SELECT p.*, b.* FROM probe p JOIN build b ON p.k = b.bk",
       "probe" -> probe,
       "build" -> build,
     )
@@ -163,7 +150,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(a, b, Seq("k"), Seq("bk"), amplecfg, numPartitions = 4)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(a, "a")}, ${castSelect(b, "b")} FROM a JOIN b ON a.k = b.bk",
+      "SELECT a.*, b.* FROM a JOIN b ON a.k = b.bk",
       "a" -> a,
       "b" -> b,
     )
@@ -178,7 +165,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val joined = HHJoin.join(a, b, Seq("k1", "k2"), Seq("j1", "j2"), tinyCfg, numPartitions = 4)
     Oracle.assertEquivalent(
       joined,
-      s"SELECT ${castSelect(a, "a")}, ${castSelect(b, "b")} FROM a JOIN b ON a.k1 = b.j1 AND a.k2 = b.j2",
+      "SELECT a.*, b.* FROM a JOIN b ON a.k1 = b.j1 AND a.k2 = b.j2",
       "a" -> a,
       "b" -> b,
     )
@@ -215,7 +202,7 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val joined = HHJoin.join(li, ord, Seq("l_orderkey"), Seq("o_orderkey"), cfg, numPartitions = 2)
       Oracle.assertEquivalent(
         joined,
-        s"SELECT ${castSelect(li, "l")}, ${castSelect(ord, "o")} FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
+        "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
         "lineitem" -> li,
         "orders"   -> ord,
       )

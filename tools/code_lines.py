@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Counts the Scala code lines of two checkouts, file by file.
 
-    python3 tools/code_lines.py --parent DIR --change DIR
+    python3 tools/code_lines.py --parent DIR --change DIR [--tests]
 
 A code line is a line of a ``.scala`` file under ``src/main/scala`` or
-``jobs/`` that holds something other than whitespace and comments: blank
-lines, ``//`` lines and the lines of ``/* ... */`` and scaladoc blocks do
-not count, so deleting or rewording comments does not move the count. The
-scanner knows string literals (plain, interpolated and triple-quoted) and
-character literals, so a ``//`` or ``/*`` inside one is not a comment, and
-Scala's nested block comments.
+``jobs/`` (and ``src/test/scala`` with ``--tests``) that holds something
+other than whitespace and comments: blank lines, ``//`` lines and the lines
+of ``/* ... */`` and scaladoc blocks do not count, so deleting or rewording
+comments does not move the count. The scanner knows string literals (plain,
+interpolated and triple-quoted) and character literals, so a ``//`` or
+``/*`` inside one is not a comment, and Scala's nested block comments.
 
 It prints the before and after counts of every file that differs between
 the checkouts (``-`` where the file is absent), then the totals and their
@@ -21,6 +21,7 @@ import os
 import sys
 
 ROOTS = [os.path.join("src", "main", "scala"), "jobs"]
+TEST_ROOT = os.path.join("src", "test", "scala")
 
 
 def code_lines(text):
@@ -70,10 +71,10 @@ def code_lines(text):
     return count
 
 
-def scala_files(checkout):
-    """Relative path -> file text, for every Scala file under ROOTS."""
+def scala_files(checkout, roots):
+    """Relative path -> file text, for every Scala file under `roots`."""
     files = {}
-    for root in ROOTS:
+    for root in roots:
         for dirpath, _, names in os.walk(os.path.join(checkout, root)):
             for name in names:
                 if name.endswith(".scala"):
@@ -87,8 +88,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--tests", action="store_true", help="count the test sources under src/test/scala too")
     a = ap.parse_args()
-    old, new = scala_files(a.parent), scala_files(a.change)
+    roots = ROOTS + ([TEST_ROOT] if a.tests else [])
+    old, new = scala_files(a.parent, roots), scala_files(a.change, roots)
 
     rows = []
     for path in sorted(set(old) | set(new)):
