@@ -34,8 +34,8 @@ final class Frame[T](val capacity: Int) {
   def recordCount: Int = n
   def fullness: Double = usedBytes.toDouble / capacity
 
-  /** The records in insertion order, read in place: insert nothing and do
-    * not clear the frame until the iterator is consumed.
+  /** The records in insertion order, read in place: insert nothing until
+    * the iterator is consumed.
     */
   def iterator: Iterator[JoinRec[T]] = new scala.collection.AbstractIterator[JoinRec[T]] {
     private var i          = 0
@@ -60,9 +60,6 @@ final class Frame[T](val capacity: Int) {
       usedBytes += r.size
       true
     } else false
-
-  /** Drop all records, keeping the frame allocated (output-buffer reuse). */
-  def clear(): Unit = { java.util.Arrays.fill(recs, 0, n, null); n = 0; usedBytes = 0 }
 }
 
 object Frame {
@@ -98,8 +95,9 @@ final class FramePool(val totalFrames: Int) {
   * here: it has spilled iff the engine holds a build file for it.
   */
 final class PartitionState[T](val id: Int, val frameSize: Int) {
-  /** In-memory frames. For a spilled NG-NS partition this is at most one
-    * frame (the output buffer); under G-S a spilled partition may re-grow.
+  /** In-memory frames. For a spilled partition this is at most one frame,
+    * its output buffer, except under G-S, where a spilled partition re-grows
+    * in the build phase.
     */
   val frames = ArrayBuffer.empty[Frame[T]]
 
@@ -116,11 +114,7 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
   def recordsInMemory: Long = memRecs
 
   /** Total free bytes across in-memory frames (fragmentation measure). */
-  def freeBytesInFrames: Long = {
-    var s = 0L; val it = frames.iterator
-    while (it.hasNext) s += it.next().free
-    s
-  }
+  def freeBytesInFrames: Long = frames.size.toLong * frameSize - memBytes
 
   /** Average free bytes per in-memory frame; 0 if no frames. */
   def avgFreePerFrame: Double =

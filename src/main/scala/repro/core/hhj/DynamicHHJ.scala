@@ -152,6 +152,12 @@ object DynamicHHJ {
     }
   }
 
+  /** Streams a spill file back and notes the read: every spill read. */
+  private def readBack[T](f: SpillFile[T], stats: HHJStats): Iterator[JoinRec[T]] = {
+    stats.io.noteRead(f.frames, f.bytes)
+    f.readAll()
+  }
+
   /** Joins a file pair by loading the build side `blockBytes` (declared
     * bytes) at a time into a hash table and re-scanning the probe side once
     * per block: §8.3's in-memory join is one unbounded block, §8.1's block
@@ -165,11 +171,10 @@ object DynamicHHJ {
       stats: HHJStats,
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): Unit = {
-    val bIt      = b.readAll()
+    val bIt      = readBack(b, stats)
     val perBlock = if (blockBytes >= b.bytes) b.records else math.ceil(b.records.toDouble * blockBytes / b.bytes).toLong
     val table    = new HashTable[T](math.min(perBlock, Int.MaxValue - 8L).toInt)
     val batch    = new Array[JoinRec[T]](ProbeBatch)
-    stats.io.noteRead(b.frames, b.bytes)
     while (bIt.hasNext) {
       table.clear()
       var load = 0L
@@ -180,8 +185,7 @@ object DynamicHHJ {
         table.add(r)
       }
       table.seal()
-      stats.io.noteRead(p.frames, p.bytes)
-      val pIt = p.readAll()
+      val pIt = readBack(p, stats)
       while (pIt.hasNext) {
         var m = 0
         while (m < ProbeBatch && pIt.hasNext) { batch(m) = pIt.next(); m += 1 }
@@ -228,9 +232,7 @@ object DynamicHHJ {
       blockJoin(b, p, (cfg.memoryFrames - 1).toLong * cfg.frameSize, stats, em)
     } else {
       val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize)
-      stats.io.noteRead(b.frames, b.bytes)
-      stats.io.noteRead(p.frames, p.bytes)
-      pairs = runRound(b.readAll(), p.readAll(), numP, depth, Some(b.bytes), cfg, store, stats, em)
+      pairs = runRound(readBack(b, stats), readBack(p, stats), numP, depth, Some(b.bytes), cfg, store, stats, em)
     }
     b.delete(); p.delete()
     pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth + 1, cfg, store, stats, em) }
@@ -264,6 +266,7 @@ object DynamicHHJ {
     val victim     = cfg.victim()
     val seed       = cfg.seed + depth
     val buildFiles = new Array[SpillFile[T]](P)
+    val probeFiles = new Array[SpillFile[T]](P)
     var roundBuild = 0L // build bytes read so far
 
     /** A partition has spilled iff it has a build file. The per-record
@@ -274,17 +277,19 @@ object DynamicHHJ {
     def numSpilled: Int                        = buildFiles.count(_ != null)
 
     /** Write a partition's in-memory frames, then `extra` records, to its
-      * build file as one write, and return the frames to the pool. Spilling
-      * a victim, a G-S steal, an NG-NS buffer flush, the end-of-build drain
-      * and a §8.5 reload abort are all this one step.
+      * file in `files` (`buildFiles` or `probeFiles`) as one write, and
+      * return the frames to the pool. Spilling a victim, a G-S steal, a
+      * full output buffer on either side, the end-of-build and end-of-probe
+      * drains and a §8.5 reload abort are all this one step.
       */
-    def flush(p: PartitionState[T], extra: Seq[JoinRec[T]] = Nil): Unit = {
+    def flush(p: PartitionState[T], files: Array[SpillFile[T]], extra: Seq[JoinRec[T]] = Nil): Unit = {
       val n       = p.frames.size.toLong
       val written = p.bytesInMemory + extra.iterator.map(_.size.toLong).sum
-      if (!spilled(p)) buildFiles(p.id) = store.newFile(s"d$depth-p${p.id}-build")
-      buildFiles(p.id).append(p.frames.iterator.flatMap(_.iterator) ++ extra.iterator, n)
+      val build   = files eq buildFiles
+      if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
+      files(p.id).append(p.frames.iterator.flatMap(_.iterator) ++ extra.iterator, n)
       stats.io.noteWrite(n, written)
-      stats.buildIo.noteWrite(n, written)
+      if (build) stats.buildIo.noteWrite(n, written)
       pool.release(p.dropAllFrames())
     }
 
@@ -300,40 +305,51 @@ object DynamicHHJ {
         // fragment G-S's sequential chunks into the very single-frame writes
         // the policy avoids.
         val best = parts.iterator.filter(p => spilled(p) && p.frames.nonEmpty).maxByOption(_.frames.size)
-        if (best.exists(b => b.frames.size >= 2 || candidates.isEmpty)) { flush(best.get); return }
+        if (best.exists(b => b.frames.size >= 2 || candidates.isEmpty)) { flush(best.get, buildFiles); return }
       }
       if (candidates.isEmpty)
         throw new IllegalStateException(
           s"no victim available: P=$P M=${cfg.memoryFrames} — memory too small for partition count")
       val ctx = VictimContext(P, numSpilled, incoming, totalBuildBytes.map(t => math.max(0L, t - roundBuild)))
-      flush(parts(victim.choose(candidates, ctx)))
+      flush(parts(victim.choose(candidates, ctx)), buildFiles)
       stats.victimSpills += 1
     }
 
-    /** Put `r` into `p` without destaging anything; false when `r` needs a
-      * new frame and the pool has none. Resident and G-S spilled partitions
-      * search their frames with the insertion policy; a spilled NG-NS
-      * partition owns one output buffer: when full it is flushed (one random
-      * write) and its frame taken back from the pool at once, which cannot
-      * fail as the flush just returned it. With `search = false` a record
-      * that has no buffer goes straight into a new frame.
+    /** Put `r` into spilled `p`'s one output buffer, its only frame: when
+      * `r` does not fit, the buffer is flushed to `files` (one random write)
+      * and its frame taken back from the pool at once, which cannot fail as
+      * the flush just returned it. False when `p` has no buffer yet and the
+      * pool has no frame.
       */
-    def tryPlace(p: PartitionState[T], r: JoinRec[T], search: Boolean): Boolean = {
-      val buffer = buildFiles(p.id) != null && cfg.growth == GrowthPolicy.NGNS
-      if (buffer && p.frames.nonEmpty && p.frames(0).free < r.size) flush(p)
-      var idx =
-        if (buffer) p.frames.size - 1
-        else if (search) insertion.chooseFrame(p, r.size, stats.search)
-        else -1
-      if (idx < 0) {
+    def buffer(p: PartitionState[T], r: JoinRec[T], files: Array[SpillFile[T]]): Boolean = {
+      if (p.frames.nonEmpty && p.frames(0).free < r.size) flush(p, files)
+      if (p.frames.isEmpty) {
         if (!pool.tryAcquire()) return false
         p.appendFrame()
-        idx = p.frames.size - 1
       }
-      p.insertInto(idx, r)
-      if (!buffer) insertion.inserted(p, idx, r.size)
+      p.insertInto(0, r)
       true
     }
+
+    /** Put build record `r` into `p` without destaging anything; false when
+      * `r` needs a new frame and the pool has none. A spilled NG-NS
+      * partition uses its output buffer; resident and G-S spilled partitions
+      * search their frames with the insertion policy, and with
+      * `search = false` the record goes straight into a new frame.
+      */
+    def tryPlace(p: PartitionState[T], r: JoinRec[T], search: Boolean): Boolean =
+      if (buildFiles(p.id) != null && cfg.growth == GrowthPolicy.NGNS) buffer(p, r, buildFiles)
+      else {
+        var idx = if (search) insertion.chooseFrame(p, r.size, stats.search) else -1
+        if (idx < 0) {
+          if (!pool.tryAcquire()) return false
+          p.appendFrame()
+          idx = p.frames.size - 1
+        }
+        p.insertInto(idx, r)
+        insertion.inserted(p, idx, r.size)
+        true
+      }
 
     /** Place a build record, destaging to make room if the pool is empty.
       * The partition's frames were already searched, so after `makeRoom`
@@ -371,7 +387,7 @@ object DynamicHHJ {
     }
 
     // Drain spilled partitions' remaining in-memory frames.
-    parts.foreach(p => if (spilled(p) && p.frames.nonEmpty) flush(p))
+    parts.foreach(p => if (spilled(p) && p.frames.nonEmpty) flush(p, buildFiles))
 
     // §8.5: reload spilled build partitions into leftover memory, largest
     // build file first (ties go to the lowest id), leaving one probe output
@@ -385,9 +401,8 @@ object DynamicHHJ {
       var aborted = false
       for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
            if !aborted && buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
-        val f = buildFiles(p.id)
-        stats.io.noteRead(f.frames, f.bytes)
-        val recs = f.readAll().toArray
+        val f    = buildFiles(p.id)
+        val recs = readBack(f, stats).toArray
         f.delete(); buildFiles(p.id) = null
         val stuck = recs.indexWhere(r => !tryPlace(p, r, search = true))
         if (stuck < 0) stats.reloadedPartitions += 1
@@ -396,23 +411,16 @@ object DynamicHHJ {
           // insertion search, Random's above all, can pack them worse than
           // the writes did): write everything back out to a new file, so
           // the partition stays spilled, and stop.
-          flush(p, recs.toSeq.drop(stuck))
+          flush(p, buildFiles, recs.toSeq.drop(stuck))
           aborted = true
         }
       }
     }
 
-    // Reserve one probe output buffer per spilled partition and hand each
-    // its frame; under G-S the residents may have grown into the whole
-    // pool, so destage until the buffers fit.
+    // Reserve one probe output buffer per spilled partition, which takes
+    // its frame on its first probe record; under G-S the residents may have
+    // grown into the whole pool, so destage until the buffers fit.
     while (pool.available < numSpilled) makeRoom(incoming = -1)
-    val probeBufs = Array.tabulate(P) { pid =>
-      if (buildFiles(pid) == null) null
-      else {
-        require(pool.tryAcquire(), "probe buffer reservation failed")
-        new Frame[T](cfg.frameSize)
-      }
-    }
 
     // ---------------- Hash table over resident partitions ----------------
     val resident = parts.filterNot(spilled)
@@ -421,18 +429,8 @@ object DynamicHHJ {
     table.seal()
 
     // ---------------- Probe phase ----------------
-    val probeFiles = new Array[SpillFile[T]](P)
-
-    def flushProbeBuf(pid: Int): Unit = {
-      val buf = probeBufs(pid)
-      if (buf.recordCount == 0) return
-      if (probeFiles(pid) == null) probeFiles(pid) = store.newFile(s"d$depth-p$pid-probe")
-      probeFiles(pid).append(buf.iterator, 1L)
-      stats.io.noteWrite(1L, buf.used.toLong)
-      buf.clear()
-    }
-
-    // Resident-partition records are probed in batches, in probe order.
+    // Resident-partition records are probed in batches, in probe order;
+    // a spilled partition's go to its output buffer.
     val batch   = new Array[JoinRec[T]](ProbeBatch)
     var batched = 0
     while (probeIt.hasNext) {
@@ -444,7 +442,7 @@ object DynamicHHJ {
         batch(batched) = r
         batched += 1
         if (batched == ProbeBatch) { table.probeBatch(batch, batched, stats, emit); batched = 0 }
-      } else if (!probeBufs(pid).insert(r)) { flushProbeBuf(pid); require(probeBufs(pid).insert(r)) }
+      } else require(buffer(parts(pid), r, probeFiles), "probe buffer reservation failed")
     }
     table.probeBatch(batch, batched, stats, emit)
 
@@ -454,7 +452,7 @@ object DynamicHHJ {
     // joins to nothing — drop it.
     val pairs = ArrayBuffer.empty[(SpillFile[T], SpillFile[T], Long)]
     for (pid <- 0 until P if buildFiles(pid) != null) {
-      flushProbeBuf(pid)
+      if (parts(pid).frames.nonEmpty) flush(parts(pid), probeFiles)
       if (probeFiles(pid) != null) pairs += ((buildFiles(pid), probeFiles(pid), roundBuild))
       else buildFiles(pid).delete()
     }

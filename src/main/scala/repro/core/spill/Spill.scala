@@ -1,6 +1,6 @@
 package repro.core.spill
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, EOFException, File, FileInputStream, FileOutputStream}
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, File, FileInputStream, FileOutputStream}
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.frames.JoinRec
@@ -44,7 +44,7 @@ trait SpillFile[T] {
   /** Append records that occupied `nFrames` frames; physical-pattern
     * accounting (seq/random) is the engine's job, not the store's. `recs`
     * must be read to the end before this returns: the engine passes frames'
-    * records in place and clears or drops the frames afterwards.
+    * records in place and drops the frames afterwards.
     */
   def append(recs: Iterator[JoinRec[T]], nFrames: Long): Unit
 
@@ -140,18 +140,22 @@ final class DiskSpillFile[T](path: File, serde: Serde[T]) extends SpillFile[T] {
     out.flush()
   }
 
+  /** Reads exactly the `records` entries appended so far and closes the
+    * stream after the last; a file cut short throws `EOFException`.
+    */
   def readAll(): Iterator[JoinRec[T]] = {
     if (nRec == 0) return Iterator.empty
     val in = new DataInputStream(new BufferedInputStream(new FileInputStream(path), 1 << 16))
-    new Iterator[JoinRec[T]] {
-      private var nextRec: JoinRec[T] = fetch()
-      private def fetch(): JoinRec[T] =
-        try {
-          val k = in.readLong(); val s = in.readInt(); val p = serde.read(in)
-          JoinRec(k, s, p)
-        } catch { case _: EOFException => in.close(); null }
-      def hasNext: Boolean = nextRec != null
-      def next(): JoinRec[T] = { val r = nextRec; nextRec = fetch(); r }
+    new scala.collection.AbstractIterator[JoinRec[T]] {
+      private var left     = nRec
+      def hasNext: Boolean = left > 0
+      def next(): JoinRec[T] = {
+        if (left == 0) throw new NoSuchElementException("spill file read past its last record")
+        val r = JoinRec(in.readLong(), in.readInt(), serde.read(in))
+        left -= 1
+        if (left == 0) in.close()
+        r
+      }
     }
   }
 

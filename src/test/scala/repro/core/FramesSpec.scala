@@ -43,14 +43,6 @@ class FramesSpec extends AnyFunSuite {
     assert(f.free == 0 && f.fullness == 1.0)
   }
 
-  test("clear keeps capacity but drops records") {
-    val f = new Frame[Null](512)
-    f.insert(JoinRec(1L, 100, null))
-    f.insert(JoinRec(2L, 100, null))
-    f.clear()
-    assert(f.free == 512 && f.recordCount == 0 && f.iterator.isEmpty)
-  }
-
   test("records view returns inserted records in order") {
     val f = new Frame[Integer](1024)
     f.insert(JoinRec(1L, 10, Int.box(1)))
@@ -68,15 +60,6 @@ class FramesSpec extends AnyFunSuite {
       assert(f.keyArray(i) == 1000L + i)
       assert(f.refArray(i).asInstanceOf[JoinRec[Integer]].payload.intValue == i)
     }
-  }
-
-  test("after clear() a frame holds no reference to a cleared record") {
-    val f = new Frame[Integer](1024)
-    (0 until 2 * Frame.InitialSlots).foreach(i => f.insert(JoinRec(i.toLong, 10, Int.box(i))))
-    f.clear()
-    assert(f.refArray.forall(_ == null))
-    f.insert(JoinRec(7L, 10, Int.box(7)))
-    assert(f.iterator.map(_.payload.intValue).toSeq == Seq(7))
   }
 
   test("frame fullness accumulates over inserts (property)") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.io.{EOFException, RandomAccessFile}
 import java.nio.file.Files
 
 import org.scalatest.funsuite.AnyFunSuite
@@ -78,6 +79,19 @@ class SpillSpec extends AnyFunSuite {
     f.append(Iterator(JoinRec[Null](2L, 6, null)), 1)
     assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
     assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
+    store.close()
+  }
+
+  test("a disk spill file cut short throws instead of reading fewer records") {
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val store = new DiskSpillStore[Null](dir, Serde.nullSerde)
+    val f     = store.newFile("b")
+    f.append((0 until 1000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 3)
+    val file = dir.listFiles().head
+    val raf  = new RandomAccessFile(file, "rw")
+    try raf.setLength(file.length - 5)
+    finally raf.close()
+    intercept[EOFException](f.readAll().size)
     store.close()
   }
 

@@ -48,6 +48,28 @@ class HHJStrategySpec extends SparkSpec {
     }
   }
 
+  test("a join run as several tasks matches DuckDB") {
+    // Without AQE the shuffles keep their partition count, so the operator
+    // runs as several tasks whose outputs must combine.
+    val conf  = spark.conf
+    val saved = Seq("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions").map(k => k -> conf.get(k))
+    conf.set("spark.sql.adaptive.enabled", "false")
+    conf.set("spark.sql.shuffle.partitions", "8")
+    try withStrategy {
+      val li     = SynthData.lineitem(spark, sf = 0.002)
+      val ord    = SynthData.orders(spark, sf = 0.002)
+      val joined = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
+      val exec   = joined.queryExecution.executedPlan.collectFirst { case e: DynamicHHJExec => e }
+      assert(exec.map(_.execute().getNumPartitions).contains(8), s"planned: $exec")
+      Oracle.assertEquivalent(
+        joined,
+        "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey",
+        "lineitem" -> li,
+        "orders"   -> ord,
+      )
+    } finally saved.foreach { case (k, v) => conf.set(k, v) }
+  }
+
   test("SQL join through the strategy matches DuckDB") {
     withStrategy {
       val ord  = SynthData.orders(spark, sf = 0.002)
