@@ -5,8 +5,7 @@ import repro.wisconsin.{KeyDist, RecordSpec}
 
 /** Prints the paper's tables, by name, exactly as the bench suites print
   * them. The studies are engine-level (the paper's experiments are
-  * single-operator runs), so this runs anywhere a JVM runs;
-  * `SparkHHJDemoJob` is the cluster-path demo. Examples:
+  * single-operator runs), so this runs anywhere a JVM runs. Examples:
   *
   *   sbt -batch "runMain repro.jobs.Figures table1 fig12"
   *   spark-submit --class repro.jobs.Figures target/scala-2.13/repro_2.13-*.jar fig3 fig4 fig5

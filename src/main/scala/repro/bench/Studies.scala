@@ -355,7 +355,7 @@ object Studies {
     s"\n=== $title ===\n" + fmt(headers, rows)
 
   /** Render rows as an aligned text table. */
-  def fmt(headers: Seq[String], rows: Seq[Seq[Any]]): String = {
+  private def fmt(headers: Seq[String], rows: Seq[Seq[Any]]): String = {
     def cell(a: Any): String = a match {
       case d: Double if d.isNaN => "-"
       case d: Double            => f"$d%.3f"

@@ -25,8 +25,7 @@ import repro.core.spill.{DiskSpillStore, Serde}
   * asks Spark to hash-co-partition both children on the join keys (Spark
   * inserts the exchanges), and `doExecute` runs one instance of the paper's
   * operator per partition over `UnsafeRow`s, spilling real bytes to disk.
-  * Plug in via [[HHJStrategy]]:
-  * `spark.experimental.extraStrategies = Seq(HHJStrategy(cfg))` — after
+  * Plug in via [[HHJStrategy]]: `HHJStrategy.install(spark, cfg)` — after
   * which plain `df.join(df2, ...)` / SQL inner equi-joins execute through
   * the Dynamic HHJ engine. [[HHJoin.join]] plans a single join into it.
   *
@@ -136,8 +135,7 @@ private object UnsafeRowSerde extends Serde[UnsafeRow] {
 }
 
 /** Plans every inner equi-join without a residual condition into
-  * [[DynamicHHJExec]]. Install with
-  * `spark.experimental.extraStrategies = Seq(HHJStrategy(cfg))`.
+  * [[DynamicHHJExec]]. Install with `HHJStrategy.install(spark, cfg)`.
   */
 case class HHJStrategy(cfg: HHJConfig) extends SparkStrategy {
   def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
@@ -150,10 +148,14 @@ case class HHJStrategy(cfg: HHJConfig) extends SparkStrategy {
 object HHJStrategy {
   /** Install the strategy on a session (idempotent). */
   def install(spark: SparkSession, cfg: HHJConfig): Unit =
-    spark.experimental.extraStrategies =
-      spark.experimental.extraStrategies.filterNot(_.isInstanceOf[HHJStrategy]) :+ HHJStrategy(cfg)
+    updateStrategies(spark)(_.filterNot(_.isInstanceOf[HHJStrategy]) :+ HHJStrategy(cfg))
 
   def uninstall(spark: SparkSession): Unit =
-    spark.experimental.extraStrategies =
-      spark.experimental.extraStrategies.filterNot(_.isInstanceOf[HHJStrategy])
+    updateStrategies(spark)(_.filterNot(_.isInstanceOf[HHJStrategy]))
+
+  /** Every change to a session's extra strategies is this read-modify-write
+    * under the session's lock, so concurrent callers keep each other's updates.
+    */
+  private[spark] def updateStrategies(spark: SparkSession)(f: Seq[SparkStrategy] => Seq[SparkStrategy]): Unit =
+    spark.synchronized { spark.experimental.extraStrategies = f(spark.experimental.extraStrategies) }
 }

@@ -37,10 +37,7 @@ object HHJoin {
     val session = joined.queryExecution.sparkSession
     // The strategy carries no config, so installing it once per session is
     // enough and `HHJStrategy.uninstall` leaves it in place.
-    session.synchronized {
-      val ss = session.experimental.extraStrategies
-      if (!ss.contains(PlanHHJoin)) session.experimental.extraStrategies = ss :+ PlanHHJoin
-    }
+    HHJStrategy.updateStrategies(session)(ss => if (ss.contains(PlanHHJoin)) ss else ss :+ PlanHHJoin)
     val plan = HHJoinNode(cfg, Some(numPartitions).filter(_ > 0), joined.queryExecution.analyzed)
     new classic.Dataset[Row](session, plan, Encoders.row(joined.schema))
   }

@@ -171,6 +171,30 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     )
   }
 
+  test("STRING and DATE join keys match DuckDB under spilling") {
+    val li  = SynthData.lineitem(spark, sf = 0.002)
+    val ord = SynthData.orders(spark, sf = 0.002)
+    val ls  = li.selectExpr("CAST(l_orderkey AS STRING) AS lk", "l_partkey", "l_quantity")
+    val os  = ord.selectExpr("CAST(o_orderkey AS STRING) AS ok", "o_custkey", "o_orderdate")
+    LastStats.reset()
+    Oracle.assertEquivalent(
+      HHJoin.join(ls, os, Seq("lk"), Seq("ok"), tinyCfg, numPartitions = 4),
+      "SELECT l.*, o.* FROM ls l JOIN os o ON l.lk = o.ok",
+      "ls" -> ls,
+      "os" -> os,
+    )
+    // Ship dates meet order dates a few thousand times at SF 0.001.
+    val li1  = SynthData.lineitem(spark, sf = 0.001)
+    val ord1 = SynthData.orders(spark, sf = 0.001)
+    Oracle.assertEquivalent(
+      HHJoin.join(li1, ord1, Seq("l_shipdate"), Seq("o_orderdate"), tinyCfg, numPartitions = 4),
+      "SELECT l.*, o.* FROM lineitem l JOIN orders o ON l.l_shipdate = o.o_orderdate",
+      "lineitem" -> li1,
+      "orders"   -> ord1,
+    )
+    assert(LastStats.spillBytes.get > 0, "the tiny memory budget must force spilling")
+  }
+
   test("single hot key across partitions (bail-out path) matches DuckDB") {
     // `id % 1 + 1` is 1 on every row but, unlike a literal, is not folded:
     // keys 1 = 1 would leave the optimized join without equi-join keys.

@@ -4,12 +4,13 @@
     python3 tools/code_lines.py --parent DIR --change DIR [--tests]
 
 A code line is a line of a ``.scala`` file under ``src/main/scala`` or
-``jobs/`` (and ``src/test/scala`` with ``--tests``) that holds something
-other than whitespace and comments: blank lines, ``//`` lines and the lines
-of ``/* ... */`` and scaladoc blocks do not count, so deleting or rewording
-comments does not move the count. The scanner knows string literals (plain,
-interpolated and triple-quoted) and character literals, so a ``//`` or
-``/*`` inside one is not a comment, and Scala's nested block comments.
+``jobs/`` (and ``src/test/scala`` and ``bench/src/test/scala`` with
+``--tests``) that holds something other than whitespace and comments: blank
+lines, ``//`` lines and the lines of ``/* ... */`` and scaladoc blocks do
+not count, so deleting or rewording comments does not move the count. The
+scanner knows string literals (plain, interpolated and triple-quoted) and
+character literals, so a ``//`` or ``/*`` inside one is not a comment, and
+Scala's nested block comments.
 
 It prints the before and after counts of every file that differs between
 the checkouts (``-`` where the file is absent), then the totals and their
@@ -21,7 +22,7 @@ import os
 import sys
 
 ROOTS = [os.path.join("src", "main", "scala"), "jobs"]
-TEST_ROOT = os.path.join("src", "test", "scala")
+TEST_ROOTS = [os.path.join("src", "test", "scala"), os.path.join("bench", "src", "test", "scala")]
 
 
 def code_lines(text):
@@ -88,9 +89,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--tests", action="store_true", help="count the test sources under src/test/scala too")
+    ap.add_argument("--tests", action="store_true", help="count src/test/scala and bench/src/test/scala too")
     a = ap.parse_args()
-    roots = ROOTS + ([TEST_ROOT] if a.tests else [])
+    roots = ROOTS + (TEST_ROOTS if a.tests else [])
     old, new = scala_files(a.parent, roots), scala_files(a.change, roots)
 
     rows = []
