@@ -1,6 +1,6 @@
 package repro.spark
 
-import java.io.{DataInputStream, DataOutputStream}
+import java.nio.ByteBuffer
 import java.nio.file.Files
 
 import scala.collection.mutable.ArrayBuffer
@@ -14,6 +14,7 @@ import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.catalyst.plans.physical.{ClusteredDistribution, Distribution}
 import org.apache.spark.sql.execution.{BinaryExecNode, SparkPlan, SparkStrategy}
+import org.apache.spark.unsafe.Platform
 
 import repro.core.frames.JoinRec
 import repro.core.hhj.{DynamicHHJ, HHJConfig}
@@ -114,23 +115,23 @@ case class DynamicHHJExec(
 }
 
 /** Serde spilling `UnsafeRow`s byte-for-byte. The field count differs
-  * between build and probe rows, so it is written per record.
+  * between build and probe rows, so it is written per record, before the
+  * row's bytes.
   */
 private object UnsafeRowSerde extends Serde[UnsafeRow] {
-  def write(r: UnsafeRow, out: DataOutputStream): Unit = {
-    out.writeInt(r.numFields())
-    val bytes = r.getBytes
-    out.writeInt(bytes.length)
-    out.write(bytes)
+  def bytes(r: UnsafeRow): Int = 4 + r.getSizeInBytes
+  def write(r: UnsafeRow, out: ByteBuffer): Unit = {
+    out.putInt(r.numFields())
+    r.writeToMemory(out.array(), Platform.BYTE_ARRAY_OFFSET + out.arrayOffset() + out.position())
+    out.position(out.position() + r.getSizeInBytes)
   }
-  def read(in: DataInputStream): UnsafeRow = {
-    val nFields = in.readInt()
-    val n       = in.readInt()
-    val bytes   = new Array[Byte](n)
-    in.readFully(bytes)
-    val row = new UnsafeRow(nFields)
-    row.pointTo(bytes, n)
-    row
+  def read(in: ByteBuffer, bytes: Int): UnsafeRow = {
+    val nFields = in.getInt()
+    val row     = new Array[Byte](bytes - 4)
+    in.get(row)
+    val r = new UnsafeRow(nFields)
+    r.pointTo(row, row.length)
+    r
   }
 }
 

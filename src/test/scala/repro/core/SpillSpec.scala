@@ -1,7 +1,8 @@
 package repro.core
 
-import java.io.{EOFException, RandomAccessFile}
-import java.nio.file.Files
+import java.io.{EOFException, File, RandomAccessFile}
+import java.nio.ByteBuffer
+import java.nio.file.{FileAlreadyExistsException, Files}
 
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -93,6 +94,83 @@ class SpillSpec extends AnyFunSuite {
     finally raf.close()
     intercept[EOFException](f.readAll().size)
     store.close()
+  }
+
+  /** Byte-array payloads, so a test controls each record's encoded size. */
+  private val bytesSerde: Serde[Array[Byte]] = new Serde[Array[Byte]] {
+    def bytes(t: Array[Byte]): Int                  = t.length
+    def write(t: Array[Byte], out: ByteBuffer): Unit = out.put(t): Unit
+    def read(in: ByteBuffer, bytes: Int): Array[Byte] = { val a = new Array[Byte](bytes); in.get(a); a }
+  }
+
+  private def byteRec(key: Int, n: Int): JoinRec[Array[Byte]] =
+    JoinRec(key.toLong, math.min(n, 1024), Array.tabulate[Byte](n)(j => (key * 31 + j).toByte))
+
+  /** An entry's bytes on disk: key (8), declared size (4), payload bytes (4), payload. */
+  private def encoded(recs: Seq[JoinRec[Array[Byte]]]): Long = recs.map(16L + _.payload.length).sum
+
+  private def assertSameRecs(got: Seq[JoinRec[Array[Byte]]], want: Seq[JoinRec[Array[Byte]]]): Unit = {
+    assert(got.map(r => (r.key, r.size)) == want.map(r => (r.key, r.size)))
+    assert(got.map(_.payload.toSeq) == want.map(_.payload.toSeq))
+  }
+
+  test("payloads larger than the staging buffer round-trip among small ones") {
+    val store = tmpStore(bytesSerde)
+    val f     = store.newFile("b")
+    val mixed = (0 until 7).map(i => byteRec(i, if (i % 2 == 0) 200 * 1024 else 10))
+    f.append(mixed.iterator, nFrames = 7)
+    val small = (7 until 500).map(byteRec(_, 10))
+    f.append(small.take(3).iterator, nFrames = 1)
+    f.append(small.drop(3).iterator, nFrames = 5)
+    assertSameRecs(f.readAll().toVector, mixed ++ small)
+    store.close()
+  }
+
+  test("every append is on disk when it returns: nothing waits in the staging buffer") {
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val store = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
+    val f     = store.newFile("b")
+    val g     = store.newFile("p") // shares the staging buffer with `f`
+    val sizes = Seq(Seq(10), Seq(10, 10, 10), Seq(70 * 1024), Seq(5000) ++ Seq.fill(40)(10), Seq(200 * 1024, 10))
+    var all   = Vector.empty[JoinRec[Array[Byte]]]
+    for ((ns, i) <- sizes.zipWithIndex) {
+      val recs = ns.zipWithIndex.map { case (n, j) => byteRec(i * 100 + j, n) }
+      f.append(recs.iterator, nFrames = 1)
+      g.append(Iterator(byteRec(i, 10)), nFrames = 1)
+      all ++= recs
+      assert(new File(dir, "00001-b.spill").length == encoded(all), s"after append $i")
+    }
+    assertSameRecs(f.readAll().toVector, all)
+    store.close()
+  }
+
+  test("two iterators on one file, advanced alternately, each read every record in order") {
+    val store = tmpStore(Serde.nullSerde)
+    val f     = store.newFile("b")
+    // 20,000 entries of 16 bytes span several 64 KB reads.
+    f.append((0 until 20000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 8)
+    val (a, b) = (f.readAll(), f.readAll())
+    val seenA  = Vector.newBuilder[Long]
+    val seenB  = Vector.newBuilder[Long]
+    seenA += a.next().key
+    while (a.hasNext || b.hasNext) {
+      if (b.hasNext) seenB += b.next().key
+      if (a.hasNext) seenA += a.next().key
+    }
+    assert(seenA.result() == (0L until 20000L) && seenB.result() == (0L until 20000L))
+    intercept[NoSuchElementException](a.next())
+    store.close()
+  }
+
+  test("a spill file whose name is already on disk fails instead of appending to stale bytes") {
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val stale = new File(dir, "00001-b.spill")
+    Files.write(stale.toPath, Array[Byte](1, 2, 3))
+    val store = new DiskSpillStore[Null](dir, Serde.nullSerde)
+    val f     = store.newFile("b")
+    intercept[FileAlreadyExistsException](f.append(Iterator(JoinRec[Null](1L, 5, null)), 1))
+    store.close()
+    assert(Files.readAllBytes(stale.toPath).toSeq == Seq[Byte](1, 2, 3), "a file the store did not create is left alone")
   }
 
   test("empty disk spill file reads as empty") {

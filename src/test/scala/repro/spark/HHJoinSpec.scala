@@ -195,6 +195,23 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(LastStats.spillBytes.get > 0, "the tiny memory budget must force spilling")
   }
 
+  test("rows wider than a frame and than the spill staging buffer match DuckDB under spilling") {
+    // 16 KB and 100 KB strings against 1 KB frames: every row's declared
+    // size is clamped to one frame, while its spilled bytes stay whole.
+    val build = spark.range(200).selectExpr(
+      "id % 50 AS bk", "concat(CAST(id AS STRING), repeat('b', IF(id % 2 = 0, 16384, 102400))) AS bpad")
+    val probe = spark.range(40).selectExpr(
+      "id % 25 AS k", "concat(CAST(id AS STRING), repeat('p', IF(id % 3 = 0, 102400, 16384))) AS ppad")
+    LastStats.reset()
+    Oracle.assertEquivalent(
+      HHJoin.join(probe, build, Seq("k"), Seq("bk"), tinyCfg, numPartitions = 4),
+      "SELECT p.*, b.* FROM probe p JOIN build b ON p.k = b.bk",
+      "probe" -> probe,
+      "build" -> build,
+    )
+    assert(LastStats.spillBytes.get > 0, "the tiny memory budget must force spilling")
+  }
+
   test("single hot key across partitions (bail-out path) matches DuckDB") {
     // `id % 1 + 1` is 1 on every row but, unlike a literal, is not folded:
     // keys 1 = 1 would leave the optimized join without equi-join keys.

@@ -23,6 +23,22 @@ metric ``BENCHMARK.json`` gates:
 Every metric also shows the change's median against the parent's, and
 ``WORSE`` when it is worse by more than the metric's bound. Each checkout
 builds its own program on its first run.
+
+``--json FILE`` writes every run, in the form a perf change commits as its
+``BENCH_<name>.json`` trajectory point::
+
+    {"seconds": 15.0,                    # --seconds, the length of every run
+     "workloads": {
+       "engine_spill": [                 # one key per --workload, one entry per pair
+         {"seed": 301,                   # the pair's seed
+          "first": "parent",             # the side that ran first in this pair
+          "parent": {"setup_s": 0.35, "join_s_p50": 0.72, "io_mb": 5053.5},
+          "change": {"setup_s": 0.34, "join_s_p50": 0.51, "io_mb": 5053.5}},
+         ...]}}
+
+``parent`` and ``change`` hold that side's end-to-end metrics as
+``perfbench/run.py`` reports them (every metric ``BENCHMARK.json`` gates, in
+its units), or ``null`` if that run failed or gave a wrong answer.
 """
 
 import argparse
