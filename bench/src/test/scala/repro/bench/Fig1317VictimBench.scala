@@ -20,8 +20,6 @@ import repro.wisconsin.{KeyDist, RecordSpec}
   */
 class Fig1317VictimBench extends AnyFunSuite {
 
-  private val Ratios = Seq(1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-
   private def ratiosSane(rows: Seq[Studies.VictimRow]): Unit =
     rows.foreach { r =>
       assert(r.spilledRatio.isNaN || (r.spilledRatio > 0.5 && r.spilledRatio < 15),
@@ -29,17 +27,17 @@ class Fig1317VictimBench extends AnyFunSuite {
     }
 
   test("Figure 13a: no skew - all victim policies perform alike") {
-    val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.Unique, Ratios)
+    val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.Unique)
     println(Studies.victimTable(13, 0.0, KeyDist.Unique, rows))
     ratiosSane(rows)
-    for (rt <- Ratios.drop(1)) { // skip the near-memory point, tiny denominators amplify noise
+    for (rt <- Studies.VictimRatios.drop(1)) { // skip the near-memory point, tiny denominators amplify noise
       val at = rows.filter(r => r.dataMemRatio == rt).map(_.spilledRatio)
       assert(at.max / at.min < 1.6, s"x$rt: policies should be similar without skew ($at)")
     }
   }
 
   test("Figure 13b: skewed keys separate the policies") {
-    val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.NormalSkew, Ratios)
+    val rows = Studies.victimStudy(RecordSpec.AllSmall, KeyDist.NormalSkew)
     println(Studies.victimTable(13, 0.0, KeyDist.NormalSkew, rows))
     ratiosSane(rows)
     // Paper: Largest-* overspills when data is only slightly larger than
@@ -52,7 +50,7 @@ class Fig1317VictimBench extends AnyFunSuite {
   private def largestAmongBest(rows: Seq[Studies.VictimRow], tag: String): Unit = {
     // At the highest data/memory ratio, Largest-Size spills no more than
     // the policy median (paper: Largest-* are the best performers there).
-    val rt   = Ratios.last
+    val rt   = Studies.VictimRatios.last
     val at   = rows.filter(_.dataMemRatio == rt)
     val ls   = at.find(_.policy == "Largest-Size").get.spilledRatio
     val med  = at.map(_.spilledRatio).sorted.apply(at.size / 2)
@@ -60,10 +58,10 @@ class Fig1317VictimBench extends AnyFunSuite {
   }
 
   for ((fig, spec) <- Seq(14 -> RecordSpec.oneLarge _, 15 -> RecordSpec.threeLarge _);
-       pct <- Seq(0.1, 0.5, 0.9)) {
+       pct <- Studies.LargeRatios) {
     val dsName = if (fig == 14) "1-Large" else "3-Large"
     test(f"Figure $fig: $dsName Coexist, ${(pct * 100).toInt}%% large records") {
-      val rows = Studies.victimStudy(spec(pct), KeyDist.Unique, Ratios)
+      val rows = Studies.victimStudy(spec(pct), KeyDist.Unique)
       println(Studies.victimTable(fig, pct, KeyDist.Unique, rows))
       ratiosSane(rows)
       largestAmongBest(rows, s"Figure $fig")
@@ -71,10 +69,10 @@ class Fig1317VictimBench extends AnyFunSuite {
   }
 
   for ((fig, spec) <- Seq(16 -> RecordSpec.oneLarge _, 17 -> RecordSpec.threeLarge _);
-       pct <- Seq(0.1, 0.5, 0.9)) {
+       pct <- Studies.LargeRatios) {
     val dsName = if (fig == 16) "1-Large" else "3-Large"
     test(f"Figure $fig: skew + $dsName Coexist, ${(pct * 100).toInt}%% large records") {
-      val rows = Studies.victimStudy(spec(pct), KeyDist.NormalSkew, Ratios)
+      val rows = Studies.victimStudy(spec(pct), KeyDist.NormalSkew)
       println(Studies.victimTable(fig, pct, KeyDist.NormalSkew, rows))
       ratiosSane(rows)
     }

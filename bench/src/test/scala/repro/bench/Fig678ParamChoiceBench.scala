@@ -12,7 +12,7 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class Fig678ParamChoiceBench extends AnyFunSuite {
 
-  for (largeRatio <- Seq(0.9, 0.5, 0.1)) {
+  for (largeRatio <- Studies.LargeRatios.reverse) {
     lazy val rows = Studies.parameterChoiceStudy(largeRatio)
 
     test(f"Figures 6-8: parameter sweep at ${(largeRatio * 100).toInt}%% large records") {

@@ -49,13 +49,13 @@ class Fig91011InsertionBench extends AnyFunSuite {
     rows.foreach(r => assert(r.secondsEBS > r.secondsSSD, s"${r.policy}: EBS gp2 is slower than local SSD"))
   }
 
-  for (ratio <- Seq(0.1, 0.5, 0.9))
+  for (ratio <- Studies.LargeRatios)
     test(f"Figure 10: 3-Large Coexist at ${(ratio * 100).toInt}%% large records") {
       val rows = runAndPrint(10, ratio, RecordSpec.threeLarge(ratio))
       bestFitSlowest(rows)
     }
 
-  for (ratio <- Seq(0.1, 0.5, 0.9))
+  for (ratio <- Studies.LargeRatios)
     test(f"Figure 11: 1-Large Coexist at ${(ratio * 100).toInt}%% large records") {
       val rows = runAndPrint(11, ratio, RecordSpec.oneLarge(ratio))
       bestFitSlowest(rows)

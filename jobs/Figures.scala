@@ -1,6 +1,7 @@
 package repro.jobs
 
 import repro.bench.Studies
+import repro.bench.Studies.LargeRatios
 import repro.wisconsin.{KeyDist, RecordSpec}
 
 /** Prints the paper's tables, by name, exactly as the bench suites print
@@ -11,8 +12,6 @@ import repro.wisconsin.{KeyDist, RecordSpec}
   *   spark-submit --class repro.jobs.Figures target/scala-2.13/repro_2.13-*.jar fig3 fig4 fig5
   */
 object Figures {
-
-  private val LargeRatios = Seq(0.1, 0.5, 0.9)
 
   private def insertion(fig: Int, largeRatio: Double, spec: RecordSpec): String =
     Studies.insertionTable(fig, largeRatio, Studies.insertionStudy(Studies.standardInsertionPolicies(), spec))
@@ -26,7 +25,7 @@ object Figures {
     "fig3"   -> Seq(() => Studies.sweepTable(3, Studies.partitionSweep(fixedAllRounds = true))),
     "fig4"   -> Seq(() => Studies.sweepTable(4, Studies.partitionSweep(fixedAllRounds = false))),
     "fig5"   -> Seq(() => Studies.sweepTable(5, Studies.partitionSweep(fixedAllRounds = true))),
-    "fig678" -> Seq(0.9, 0.5, 0.1).map(r => () => Studies.paramChoiceTable(r, Studies.parameterChoiceStudy(r))),
+    "fig678" -> LargeRatios.reverse.map(r => () => Studies.paramChoiceTable(r, Studies.parameterChoiceStudy(r))),
     "fig9"   -> Seq(() => insertion(9, 0.0, RecordSpec.AllSmall)),
     "fig10"  -> LargeRatios.map(r => () => insertion(10, r, RecordSpec.threeLarge(r))),
     "fig11"  -> LargeRatios.map(r => () => insertion(11, r, RecordSpec.oneLarge(r))),

@@ -20,6 +20,9 @@ import repro.wisconsin.{KeyDist, RecordSpec, WisconsinGen}
 object Studies {
   val FrameSize = 32 * 1024
 
+  /** The large-record shares of Figures 6-8, 10-11 and 14-17. */
+  val LargeRatios = Seq(0.1, 0.5, 0.9)
+
   /** One metadata-only join on an in-memory spill store, output discarded. */
   private def runJoin(build: Iterator[JoinRec[Null]], probe: Iterator[JoinRec[Null]], cfg: HHJConfig): HHJStats = {
     val store = new InMemorySpillStore[Null]
@@ -284,6 +287,9 @@ object Studies {
       randWriteOps: Long,
   )
 
+  /** The data/memory ratios of Figures 13-17. */
+  val VictimRatios = Seq(1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
   /** One victim-selection experiment: 13 policies x data/memory ratios.
     * The metric is the paper's: round-1 build-phase spilled bytes over the
     * ideal spill of an exactly-informed HHJ, at fudge 1.0 rather than the
@@ -292,8 +298,7 @@ object Studies {
     * @param buildKeys  key distribution of the build side (probe side is
     *                   always unique, §7.1.1)
     */
-  def victimStudy(
-      spec: RecordSpec, buildKeys: KeyDist, ratios: Seq[Double] = Seq(1.2, 1.5, 2, 3, 4, 6, 8)): Seq[VictimRow] = {
+  def victimStudy(spec: RecordSpec, buildKeys: KeyDist, ratios: Seq[Double] = VictimRatios): Seq[VictimRow] = {
     val memoryFrames = 512
     val seed         = 401L
     val memBytes     = memoryFrames.toLong * FrameSize

@@ -276,20 +276,19 @@ object DynamicHHJ {
     def spilled(p: PartitionState[T]): Boolean = buildFiles(p.id) != null
     def numSpilled: Int                        = buildFiles.count(_ != null)
 
-    /** Write a partition's in-memory frames, then `extra` records, to its
-      * file in `files` (`buildFiles` or `probeFiles`) as one write, and
-      * return the frames to the pool. Spilling a victim, a G-S steal, a
-      * full output buffer on either side, the end-of-build and end-of-probe
-      * drains and a §8.5 reload abort are all this one step.
+    /** Write a partition's in-memory frames, in order, to its file in
+      * `files` (`buildFiles` or `probeFiles`) as one write, and return the
+      * frames to the pool. Spilling a victim, a G-S steal, a full output
+      * buffer on either side and the end-of-build and end-of-probe drains
+      * are all this one step.
       */
-    def flush(p: PartitionState[T], files: Array[SpillFile[T]], extra: Seq[JoinRec[T]] = Nil): Unit = {
-      val n       = p.frames.size.toLong
-      val written = p.bytesInMemory + extra.iterator.map(_.size.toLong).sum
-      val build   = files eq buildFiles
+    def flush(p: PartitionState[T], files: Array[SpillFile[T]]): Unit = {
+      val n     = p.frames.size.toLong
+      val build = files eq buildFiles
       if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
-      files(p.id).append(p.frames.iterator.flatMap(_.iterator) ++ extra.iterator, n)
-      stats.io.noteWrite(n, written)
-      if (build) stats.buildIo.noteWrite(n, written)
+      files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
+      stats.io.noteWrite(n, p.bytesInMemory)
+      if (build) stats.buildIo.noteWrite(n, p.bytesInMemory)
       pool.release(p.dropAllFrames())
     }
 
@@ -391,31 +390,30 @@ object DynamicHHJ {
 
     // §8.5: reload spilled build partitions into leftover memory, largest
     // build file first (ties go to the lowest id), leaving one probe output
-    // buffer per partition that stays spilled. A file's records were written
-    // from `frames` frames; expect the same on reload (the abort path below
-    // keeps an underestimate safe). One pass decides: a reload takes at
-    // least one frame (spilled partitions hold none after the drain) and
-    // leaves one fewer partition spilled, so the room never grows, and a
-    // partition that did not fit on its turn never fits later.
-    if (cfg.reloadSpilled) {
-      var aborted = false
+    // buffer per partition that stays spilled. The file is refilled into
+    // frames in file order: a record goes into the last frame if it fits,
+    // else into a new one. Every `flush` wrote whole frames in order, so the
+    // file is a run of groups that each fit in one frame, and each new frame
+    // starts at or after the start of the next group: the refill takes at
+    // most the file's frame count, which is what the pass tests. One pass
+    // decides: a reload takes at least one frame (spilled partitions hold
+    // none after the drain) and leaves one fewer partition spilled, so the
+    // room never grows, and a partition that did not fit on its turn never
+    // fits later.
+    if (cfg.reloadSpilled)
       for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
-           if !aborted && buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
-        val f    = buildFiles(p.id)
-        val recs = readBack(f, stats).toArray
-        f.delete(); buildFiles(p.id) = null
-        val stuck = recs.indexWhere(r => !tryPlace(p, r, search = true))
-        if (stuck < 0) stats.reloadedPartitions += 1
-        else {
-          // The records need more frames than the file's count (an
-          // insertion search, Random's above all, can pack them worse than
-          // the writes did): write everything back out to a new file, so
-          // the partition stays spilled, and stop.
-          flush(p, buildFiles, recs.toSeq.drop(stuck))
-          aborted = true
+           if buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
+        val f = buildFiles(p.id)
+        readBack(f, stats).foreach { r =>
+          if (p.frames.isEmpty || p.frames.last.free < r.size) {
+            require(pool.tryAcquire(), s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
+            p.appendFrame()
+          }
+          p.insertInto(p.frames.size - 1, r)
         }
+        f.delete(); buildFiles(p.id) = null
+        stats.reloadedPartitions += 1
       }
-    }
 
     // Reserve one probe output buffer per spilled partition, which takes
     // its frame on its first probe record; under G-S the residents may have

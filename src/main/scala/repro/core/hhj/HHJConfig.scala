@@ -52,8 +52,9 @@ object PartitionRule {
   * @param roleReversal  §8.2: later rounds build on the smaller input
   * @param inMemoryHashJoin §8.3: later rounds whose build fits in memory
   *                      skip partitioning entirely
-  * @param reloadSpilled §8.5: after the build phase, reload spilled build
-  *                      partitions that fit in leftover memory
+  * @param reloadSpilled §8.5: after the build phase, reload each spilled
+  *                      build partition whose file's frame count fits in
+  *                      leftover memory, refilling its frames in file order
   *
   * The later rounds' fixed thresholds are not configurable: Equation 2 uses
   * Table 1's fudge factor 1.3 ([[Shapiro.Fudge]]), and §8.3's

@@ -44,10 +44,12 @@ final class IOStats {
 
 /** One spilled partition's temporary file (build or probe side). */
 trait SpillFile[T] {
-  /** Append records that occupied `nFrames` frames; physical-pattern
-    * accounting (seq/random) is the engine's job, not the store's. `recs`
-    * must be read to the end before this returns: the engine passes frames'
-    * records in place and drops the frames afterwards.
+  /** Append `nFrames` whole frames' records, frame by frame in order: the
+    * §8.5 reload relies on this to refill a file into at most `frames`
+    * frames. Physical-pattern accounting (seq/random) is the engine's job,
+    * not the store's. `recs` must be read to the end before this returns:
+    * the engine passes frames' records in place and drops the frames
+    * afterwards.
     */
   def append(recs: Iterator[JoinRec[T]], nFrames: Long): Unit
 

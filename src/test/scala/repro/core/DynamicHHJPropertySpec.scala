@@ -34,7 +34,7 @@ class DynamicHHJPropertySpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, "\n" + Pretty.pretty(result, Pretty.Params(2)))
     info(s"$seen")
-    assert(seen.reloads > 0 && seen.aborts > 0 && seen.bnlj > 0 && seen.reversals > 0, s"generator missed a path: $seen")
+    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0, s"generator missed a path: $seen")
   }
 }
 
@@ -111,9 +111,9 @@ object DynamicHHJPropertySpec {
 
   val genCase: Gen[Case] = for {
     victim     <- Gen.choose(0, Victims.size - 1)
-    // A §8.5 reload overruns its estimate almost only under Random(10%),
-    // with small memories and small records packed many to a frame; those
-    // are drawn more often so that the fixed seed reaches reload aborts.
+    // Random(10%) packs frames worst, so its spill files hold the most
+    // frames per byte and stress the §8.5 reload's frame bound; it is drawn
+    // four times as often as each other policy.
     insertion  <- Gen.frequency(Insertions.indices.map(i => (if (i == RandomInsertion) 4 else 1) -> Gen.const(i)): _*)
     gs         <- Gen.oneOf(false, true)
     rr         <- Gen.oneOf(false, true)
@@ -168,10 +168,9 @@ object DynamicHHJPropertySpec {
 
   /** How many passing cases took each rare path. */
   final class Coverage {
-    var cases, reloads, aborts, bnlj, reversals = 0
+    var cases, reloads, bnlj, reversals = 0
     override def toString: String =
-      s"$cases cases: $reloads reload a partition, $aborts abort a reload, $bnlj bail out to BNLJ, " +
-        s"$reversals reverse roles"
+      s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles"
   }
 
   def check(c: Case, seen: Coverage): Prop = {
@@ -184,13 +183,14 @@ object DynamicHHJPropertySpec {
     val got = out.result()
     val want = TestData.naiveJoin(build, probe).iterator.map { case (b, p) => b.toLong << 32 | p }.toArray
     java.util.Arrays.sort(got); java.util.Arrays.sort(want)
-    val aborts = store.reloadReads - stats.reloadedPartitions
-    val io     = stats.io
+    val io = stats.io
     val ok = Prop.all(
       java.util.Arrays.equals(got, want) :| s"emitted ${got.length} pairs, naive join has ${want.length}",
       (stats.outputRecords == got.length) :| s"outputRecords=${stats.outputRecords}, emits=${got.length}",
       (stats.buildRecordsProcessed >= build.size) :| s"buildRecordsProcessed=${stats.buildRecordsProcessed}",
       (stats.probeRecordsProcessed >= probe.size) :| s"probeRecordsProcessed=${stats.probeRecordsProcessed}",
+      // Not `==`: a probe-buffer reservation can spill a victim after the
+      // round-1 sample, and its bytes count both as resident and as spilled.
       (stats.round1ResidentBytes + stats.round1BuildSpillBytes >= build.iterator.map(_.size.toLong).sum) :|
         s"round 1 resident ${stats.round1ResidentBytes} + spilled ${stats.round1BuildSpillBytes} B < build",
       store.files.forall(_.deleted) :| s"${store.files.count(!_.deleted)} of ${store.files.size} files not deleted",
@@ -201,11 +201,11 @@ object DynamicHHJPropertySpec {
       (io.readFrames == store.readFrames) :| s"io.readFrames=${io.readFrames}, readAll ${store.readFrames}",
       (io.readOps == store.reads) :| s"io.readOps=${io.readOps}, readAll calls ${store.reads}",
       store.misuse.isEmpty :| s"store misuse: ${store.misuse.mkString("; ")}",
-      (aborts >= 0) :| s"${stats.reloadedPartitions} reloads counted, ${store.reloadReads} reload reads",
+      (store.reloadReads == stats.reloadedPartitions) :|
+        s"${stats.reloadedPartitions} reloads counted, ${store.reloadReads} reload reads",
     )
     seen.cases += 1
     if (stats.reloadedPartitions > 0) seen.reloads += 1
-    if (aborts > 0) seen.aborts += 1
     if (stats.bnljRounds > 0) seen.bnlj += 1
     if (stats.roleReversals > 0) seen.reversals += 1
     ok
