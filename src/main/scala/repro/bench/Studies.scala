@@ -243,13 +243,13 @@ object Studies {
     * off (e,f,g,h).
     */
   def growthStudy(): Seq[GrowthRow] = {
-    val seed     = 301L
-    val memBytes = GrowthMemoryFrames.toLong * FrameSize
+    val seed        = 301L
+    val memoryBytes = GrowthMemoryFrames.toLong * FrameSize
     for {
       ratio  <- Seq(1.2, 2, 10, 20, 100)
       policy <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS)
     } yield {
-      val dataBytes = (memBytes * ratio).toLong
+      val dataBytes = (memoryBytes * ratio).toLong
       val (n, mk)   = WisconsinGen.dataset(dataBytes, RecordSpec.AllSmall, KeyDist.Unique, seed)
       val cfg       = paperConfig(GrowthMemoryFrames, seed).copy(growth = policy)
       val stats     = runJoin(mk(), WisconsinGen.records(n, RecordSpec.AllSmall, KeyDist.Unique, seed + 1), cfg)
@@ -301,12 +301,12 @@ object Studies {
   def victimStudy(spec: RecordSpec, buildKeys: KeyDist, ratios: Seq[Double] = VictimRatios): Seq[VictimRow] = {
     val memoryFrames = 512
     val seed         = 401L
-    val memBytes     = memoryFrames.toLong * FrameSize
+    val memoryBytes  = memoryFrames.toLong * FrameSize
     for {
       ratio <- ratios
       mkVictim <- VictimPolicy.all13(seed)
     } yield {
-      val dataBytes = (memBytes * ratio).toLong
+      val dataBytes = (memoryBytes * ratio).toLong
       val (_, mkB)  = WisconsinGen.dataset(dataBytes, spec, buildKeys, seed)
       val cfg       = paperConfig(memoryFrames, seed).copy(victim = mkVictim, growth = GrowthPolicy.NGNS)
       // The metric is round-1 build-phase spill; an empty probe skips the

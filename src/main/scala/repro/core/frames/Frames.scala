@@ -69,9 +69,10 @@ object Frame {
 
 /** The join operator's memory budget, counted in frames.
   *
-  * Partitions acquire/release frames here; when `tryAcquire` fails the
-  * operator must destage (spill) a partition to make room — the central
-  * memory-pressure event of Dynamic HHJ.
+  * Only [[PartitionState]] takes frames from it (`takeFrame`) and gives them
+  * back (`releaseFrames`); when the pool is empty the operator must destage
+  * (spill) a partition to make room — the central memory-pressure event of
+  * Dynamic HHJ.
   */
 final class FramePool(val totalFrames: Int) {
   require(totalFrames >= 2, s"join memory must be at least 2 frames, got $totalFrames")
@@ -91,8 +92,11 @@ final class FramePool(val totalFrames: Int) {
 
 /** Per-partition build-phase state: the in-memory frame array (paper §2.3,
   * "each partition uses an array to hold its in-memory frames") and the
-  * Next-Fit insertion cursor. Whether the partition has spilled is not kept
-  * here: it has spilled iff the engine holds a build file for it.
+  * Next-Fit insertion cursor. The frames are the one record of what the
+  * partition holds in memory: its byte and record counts are sums over
+  * them, and every frame is taken from and returned to the pool here.
+  * Whether the partition has spilled is not kept here: it has spilled iff
+  * the engine holds a build file for it.
   */
 final class PartitionState[T](val id: Int, val frameSize: Int) {
   /** In-memory frames. For a spilled partition this is at most one frame,
@@ -101,41 +105,48 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
     */
   val frames = ArrayBuffer.empty[Frame[T]]
 
-  private var memBytes = 0L
-  private var memRecs  = 0L
-
   /** Next-Fit state: index of the frame that received the previous record,
     * and that record's size (§5, Next-Fit's guided search).
     */
   var cursor         = -1
   var lastInsertSize = 0
 
-  def bytesInMemory: Long   = memBytes
-  def recordsInMemory: Long = memRecs
+  // Summed in a loop: `flush` and the victim policies call these, and a
+  // fold or foreach allocates on every call.
+  def bytesInMemory: Long = {
+    var s = 0L
+    var i = 0
+    while (i < frames.size) { s += frames(i).used; i += 1 }
+    s
+  }
+
+  def recordsInMemory: Long = {
+    var s = 0L
+    var i = 0
+    while (i < frames.size) { s += frames(i).recordCount; i += 1 }
+    s
+  }
 
   /** Total free bytes across in-memory frames (fragmentation measure). */
-  def freeBytesInFrames: Long = frames.size.toLong * frameSize - memBytes
+  def freeBytesInFrames: Long = frames.size.toLong * frameSize - bytesInMemory
 
   /** Average free bytes per in-memory frame; 0 if no frames. */
   def avgFreePerFrame: Double =
     if (frames.isEmpty) 0.0 else freeBytesInFrames.toDouble / frames.size
 
-  def insertInto(idx: Int, r: JoinRec[T]): Unit = {
-    val ok = frames(idx).insert(r)
-    require(ok, s"frame $idx of partition $id rejected a ${r.size}-byte record")
-    memBytes += r.size; memRecs += 1
-  }
+  def insertInto(idx: Int, r: JoinRec[T]): Unit =
+    require(frames(idx).insert(r), s"frame $idx of partition $id rejected a ${r.size}-byte record")
 
-  def appendFrame(): Frame[T] = { val f = new Frame[T](frameSize); frames += f; f }
+  /** Takes a frame from `pool` and appends it; false when the pool is empty. */
+  def takeFrame(pool: FramePool): Boolean =
+    pool.tryAcquire() && { frames += new Frame[T](frameSize); true }
 
-  /** Drop all frames and their byte and record counts (after their contents
-    * were written out); returns the number of frames released so the caller
-    * can return them to the pool.
+  /** Returns every frame to `pool` (after their contents were written out)
+    * and resets the Next-Fit cursor.
     */
-  def dropAllFrames(): Int = {
-    val n = frames.size
-    frames.clear(); cursor = -1; memBytes = 0; memRecs = 0
-    n
+  def releaseFrames(pool: FramePool): Unit = {
+    pool.release(frames.size)
+    frames.clear(); cursor = -1
   }
 }
 

@@ -219,9 +219,9 @@ object DynamicHHJ {
     val em      = if (reverse) (x: JoinRec[T], y: JoinRec[T]) => emit(y, x) else emit
     if (reverse) stats.roleReversals += 1
 
-    val memBytes = cfg.memoryFrames.toLong * cfg.frameSize
-    var pairs    = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
-    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= memBytes) {
+    val memoryBytes = cfg.memoryFrames.toLong * cfg.frameSize
+    var pairs       = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
+    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= memoryBytes) {
       // §8.3: skip partitioning, hash-join directly in memory.
       stats.inMemoryRounds += 1
       blockJoin(b, p, Long.MaxValue, stats, em)
@@ -284,12 +284,13 @@ object DynamicHHJ {
       */
     def flush(p: PartitionState[T], files: Array[SpillFile[T]]): Unit = {
       val n     = p.frames.size.toLong
+      val bytes = p.bytesInMemory
       val build = files eq buildFiles
       if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
       files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
-      stats.io.noteWrite(n, p.bytesInMemory)
-      if (build) stats.buildIo.noteWrite(n, p.bytesInMemory)
-      pool.release(p.dropAllFrames())
+      stats.io.noteWrite(n, bytes)
+      if (build) stats.buildIo.noteWrite(n, bytes)
+      p.releaseFrames(pool)
     }
 
     /** Free at least one frame. `incoming` is the partition id of the record
@@ -322,10 +323,7 @@ object DynamicHHJ {
       */
     def buffer(p: PartitionState[T], r: JoinRec[T], files: Array[SpillFile[T]]): Boolean = {
       if (p.frames.nonEmpty && p.frames(0).free < r.size) flush(p, files)
-      if (p.frames.isEmpty) {
-        if (!pool.tryAcquire()) return false
-        p.appendFrame()
-      }
+      if (p.frames.isEmpty && !p.takeFrame(pool)) return false
       p.insertInto(0, r)
       true
     }
@@ -341,8 +339,7 @@ object DynamicHHJ {
       else {
         var idx = if (search) insertion.chooseFrame(p, r.size, stats.search) else -1
         if (idx < 0) {
-          if (!pool.tryAcquire()) return false
-          p.appendFrame()
+          if (!p.takeFrame(pool)) return false
           idx = p.frames.size - 1
         }
         p.insertInto(idx, r)
@@ -405,10 +402,8 @@ object DynamicHHJ {
            if buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
         val f = buildFiles(p.id)
         readBack(f, stats).foreach { r =>
-          if (p.frames.isEmpty || p.frames.last.free < r.size) {
-            require(pool.tryAcquire(), s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
-            p.appendFrame()
-          }
+          if (p.frames.isEmpty || p.frames.last.free < r.size)
+            require(p.takeFrame(pool), s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
           p.insertInto(p.frames.size - 1, r)
         }
         f.delete(); buildFiles(p.id) = null

@@ -12,7 +12,7 @@ import org.apache.spark.sql.catalyst.expressions.{Attribute, Expression, JoinedR
 import org.apache.spark.sql.catalyst.planning.ExtractEquiJoinKeys
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
-import org.apache.spark.sql.catalyst.plans.physical.{ClusteredDistribution, Distribution}
+import org.apache.spark.sql.catalyst.plans.physical.{ClusteredDistribution, Distribution, Partitioning, PartitioningCollection}
 import org.apache.spark.sql.execution.{BinaryExecNode, SparkPlan, SparkStrategy}
 import org.apache.spark.unsafe.Platform
 
@@ -45,6 +45,12 @@ case class DynamicHHJExec(
 
   override def output: Seq[Attribute] = left.output ++ right.output
 
+  /** An inner join's output is partitioned as each child's, as in Spark's
+    * `ShuffledJoin`, so a later join on the same keys needs no new exchange.
+    */
+  override def outputPartitioning: Partitioning =
+    PartitioningCollection(Seq(left.outputPartitioning, right.outputPartitioning))
+
   override def requiredChildDistribution: Seq[Distribution] =
     Seq(leftKeys, rightKeys).map(ClusteredDistribution(_, requiredNumPartitions = requiredNumPartitions))
 
@@ -63,24 +69,17 @@ case class DynamicHHJExec(
       // same side's next projection.
       val probeKeyGen = UnsafeProjection.create(lKeys, lOutput)
       val buildKeyGen = UnsafeProjection.create(rKeys, rOutput)
-      // Children may emit any InternalRow (e.g. a JoinedRow from a nested
-      // operator); normalize to UnsafeRow via an identity projection.
-      val probeToUnsafe = UnsafeProjection.create(lOutput, lOutput)
-      val buildToUnsafe = UnsafeProjection.create(rOutput, rOutput)
 
       def hash(keyRow: UnsafeRow): Long = scala.util.hashing.byteswap64(keyRow.hashCode.toLong)
 
-      def recs(
-          it: Iterator[InternalRow],
-          keyGen: UnsafeProjection,
-          toUnsafe: UnsafeProjection,
-          frameSize: Int,
-      ): Iterator[JoinRec[UnsafeRow]] =
+      def recs(it: Iterator[InternalRow], keyGen: UnsafeProjection, frameSize: Int): Iterator[JoinRec[UnsafeRow]] =
         it.flatMap { row =>
           val keys = keyGen(row)
           if (keys.anyNull) None // null keys never match an inner equi-join
           else {
-            val u = toUnsafe(row).copy()
+            // Row-based children emit UnsafeRows, as Spark's own hashed
+            // relations assume; copy, since a child may reuse its row.
+            val u = row.asInstanceOf[UnsafeRow].copy()
             Some(JoinRec(hash(keys), math.min(u.getSizeInBytes, frameSize), u))
           }
         }
@@ -94,8 +93,8 @@ case class DynamicHHJExec(
       val outProj = UnsafeProjection.create(lOutput ++ rOutput, lOutput ++ rOutput)
       try {
         val stats = DynamicHHJ.join(
-          recs(buildIt, buildKeyGen, buildToUnsafe, conf.frameSize),
-          recs(probeIt, probeKeyGen, probeToUnsafe, conf.frameSize),
+          recs(buildIt, buildKeyGen, conf.frameSize),
+          recs(probeIt, probeKeyGen, conf.frameSize),
           conf,
           store,
           (b: JoinRec[UnsafeRow], p: JoinRec[UnsafeRow]) => {

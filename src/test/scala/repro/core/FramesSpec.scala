@@ -107,24 +107,58 @@ class FramesSpec extends AnyFunSuite {
 
   test("partition accounting tracks inserted bytes and records") {
     val p = new PartitionState[Null](0, 1024)
-    p.appendFrame()
+    p.takeFrame(new FramePool(2))
     p.insertInto(0, JoinRec(1L, 100, null))
     p.insertInto(0, JoinRec(2L, 200, null))
     assert(p.bytesInMemory == 300 && p.recordsInMemory == 2)
   }
 
-  test("dropAllFrames returns the count and resets the cursor") {
-    val p = new PartitionState[Null](3, 256)
-    p.appendFrame(); p.appendFrame(); p.cursor = 1
+  test("releaseFrames returns every frame to the pool and resets the cursor") {
+    val pool = new FramePool(4)
+    val p    = new PartitionState[Null](3, 256)
+    p.takeFrame(pool); p.takeFrame(pool); p.cursor = 1
     p.insertInto(0, JoinRec(1L, 100, null))
-    assert(p.dropAllFrames() == 2)
+    p.releaseFrames(pool)
     assert(p.frames.isEmpty && p.cursor == -1)
     assert(p.bytesInMemory == 0 && p.recordsInMemory == 0)
+    assert(pool.used == 0)
+  }
+
+  test("the pool and the partitions' frames agree (property)") {
+    // Each step: 0 = take a frame, 1 = insert into the last frame, 2 = release.
+    val steps = Gen.listOf(Gen.zip(Gen.choose(0, 2), Gen.choose(0, 2), Gen.choose(1, 100)))
+    forSamples(steps) { ops =>
+      val pool  = new FramePool(5)
+      val parts = Array.tabulate(3)(new PartitionState[Null](_, 100))
+      val bytes = new Array[Long](3)
+      val recs  = new Array[Long](3)
+      ops.foreach { case (op, i, size) =>
+        val p = parts(i)
+        op match {
+          case 0 =>
+            val full = pool.used == pool.totalFrames
+            assert(p.takeFrame(pool) != full)
+          case 1 =>
+            if (p.frames.nonEmpty && p.frames.last.free >= size) {
+              p.insertInto(p.frames.size - 1, JoinRec(0L, size, null))
+              bytes(i) += size; recs(i) += 1
+            }
+          case _ =>
+            p.releaseFrames(pool)
+            bytes(i) = 0; recs(i) = 0
+        }
+        assert(pool.used == parts.map(_.frames.size).sum)
+        parts.indices.foreach { j =>
+          assert(parts(j).bytesInMemory == bytes(j) && parts(j).recordsInMemory == recs(j))
+        }
+      }
+    }
   }
 
   test("freeBytesInFrames and avgFreePerFrame reflect fragmentation") {
-    val p = new PartitionState[Null](0, 100)
-    p.appendFrame(); p.appendFrame()
+    val pool = new FramePool(2)
+    val p    = new PartitionState[Null](0, 100)
+    p.takeFrame(pool); p.takeFrame(pool)
     p.insertInto(0, JoinRec(1L, 60, null))
     p.insertInto(1, JoinRec(2L, 20, null))
     assert(p.freeBytesInFrames == 40 + 80)
@@ -137,7 +171,7 @@ class FramesSpec extends AnyFunSuite {
 
   test("insertInto a full frame throws") {
     val p = new PartitionState[Null](0, 100)
-    p.appendFrame()
+    p.takeFrame(new FramePool(2))
     p.insertInto(0, JoinRec(1L, 100, null))
     intercept[IllegalArgumentException](p.insertInto(0, JoinRec(2L, 1, null)))
   }

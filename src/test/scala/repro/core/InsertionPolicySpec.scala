@@ -2,16 +2,17 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.frames.{JoinRec, PartitionState}
+import repro.core.frames.{FramePool, JoinRec, PartitionState}
 import repro.core.insertion._
 
 class InsertionPolicySpec extends AnyFunSuite {
 
   /** A partition whose frames have the given free space (capacity 1000). */
   private def partitionWithFree(free: Int*): PartitionState[Null] = {
-    val p = new PartitionState[Null](0, 1000)
+    val pool = new FramePool(Int.MaxValue)
+    val p    = new PartitionState[Null](0, 1000)
     free.foreach { fr =>
-      p.appendFrame()
+      p.takeFrame(pool)
       if (fr < 1000) p.insertInto(p.frames.size - 1, JoinRec(0L, 1000 - fr, null))
     }
     p
@@ -221,8 +222,9 @@ class InsertionPolicySpec extends AnyFunSuite {
   test("every policy only returns frames that actually fit the record") {
     val rnd = new java.util.Random(3)
     allPolicies.foreach { mk =>
-      val pol = mk()
-      val p   = new PartitionState[Null](0, 1000)
+      val pol  = mk()
+      val pool = new FramePool(Int.MaxValue)
+      val p    = new PartitionState[Null](0, 1000)
       (0 until 500).foreach { _ =>
         val size = 1 + rnd.nextInt(400)
         val idx  = pol.chooseFrame(p, size, stats)
@@ -231,7 +233,7 @@ class InsertionPolicySpec extends AnyFunSuite {
           p.insertInto(idx, JoinRec(rnd.nextLong(), size, null))
           pol.inserted(p, idx, size)
         } else {
-          p.appendFrame()
+          p.takeFrame(pool)
           p.insertInto(p.frames.size - 1, JoinRec(rnd.nextLong(), size, null))
           pol.inserted(p, p.frames.size - 1, size)
         }
@@ -242,15 +244,16 @@ class InsertionPolicySpec extends AnyFunSuite {
 
   test("small same-size records: all policies achieve high fullness") {
     allPolicies.foreach { mk =>
-      val pol = mk()
-      val p   = new PartitionState[Null](0, 1000)
-      val rnd = new java.util.Random(11)
+      val pol  = mk()
+      val pool = new FramePool(Int.MaxValue)
+      val p    = new PartitionState[Null](0, 1000)
+      val rnd  = new java.util.Random(11)
       (0 until 1000).foreach { _ =>
         val size = 40 + rnd.nextInt(20)
         val idx  = pol.chooseFrame(p, size, stats)
         if (idx >= 0) { p.insertInto(idx, JoinRec(0L, size, null)); pol.inserted(p, idx, size) }
         else {
-          p.appendFrame(); p.insertInto(p.frames.size - 1, JoinRec(0L, size, null))
+          p.takeFrame(pool); p.insertInto(p.frames.size - 1, JoinRec(0L, size, null))
           pol.inserted(p, p.frames.size - 1, size)
         }
       }
@@ -263,15 +266,16 @@ class InsertionPolicySpec extends AnyFunSuite {
 
   test("BestFit searches no fewer frames than Append(8) on the same stream") {
     def effort(pol: InsertionPolicy): Long = {
-      val s   = new SearchStats
-      val p   = new PartitionState[Null](0, 1000)
-      val rnd = new java.util.Random(7)
+      val s    = new SearchStats
+      val pool = new FramePool(Int.MaxValue)
+      val p    = new PartitionState[Null](0, 1000)
+      val rnd  = new java.util.Random(7)
       (0 until 2000).foreach { _ =>
         val size = 100 + rnd.nextInt(500)
         val idx  = pol.chooseFrame(p, size, s)
         if (idx >= 0) { p.insertInto(idx, JoinRec(0L, size, null)); pol.inserted(p, idx, size) }
         else {
-          p.appendFrame(); p.insertInto(p.frames.size - 1, JoinRec(0L, size, null))
+          p.takeFrame(pool); p.insertInto(p.frames.size - 1, JoinRec(0L, size, null))
           pol.inserted(p, p.frames.size - 1, size)
         }
       }

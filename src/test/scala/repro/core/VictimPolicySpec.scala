@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.frames.{JoinRec, PartitionState}
+import repro.core.frames.{FramePool, JoinRec, PartitionState}
 import repro.core.victim._
 
 class VictimPolicySpec extends AnyFunSuite {
@@ -10,9 +10,10 @@ class VictimPolicySpec extends AnyFunSuite {
   /** Build candidate partitions from (id, recordCount, recordSize) specs. */
   private def parts(specs: (Int, Int, Int)*): IndexedSeq[PartitionState[Null]] =
     specs.map { case (id, nRecs, recSize) =>
-      val p = new PartitionState[Null](id, 32 * 1024)
+      val pool = new FramePool(Int.MaxValue)
+      val p    = new PartitionState[Null](id, 32 * 1024)
       (0 until nRecs).foreach { _ =>
-        if (p.frames.isEmpty || p.frames.last.free < recSize) p.appendFrame()
+        if (p.frames.isEmpty || p.frames.last.free < recSize) p.takeFrame(pool)
         p.insertInto(p.frames.size - 1, JoinRec(0L, recSize, null))
       }
       p

@@ -1,5 +1,8 @@
 package repro.spark
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.hhj.{HHJConfig, PartitionRule}
 
@@ -7,7 +10,7 @@ import repro.core.hhj.{HHJConfig, PartitionRule}
   * equi-joins into [[DynamicHHJExec]], which must both appear in the
   * physical plan and produce DuckDB-identical results.
   */
-class HHJStrategySpec extends SparkSpec {
+class HHJStrategySpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private val cfg = HHJConfig(
     memoryFrames = 32,
@@ -68,6 +71,30 @@ class HHJStrategySpec extends SparkSpec {
         "orders"   -> ord,
       )
     } finally saved.foreach { case (k, v) => conf.set(k, v) }
+  }
+
+  test("a second join on the same key reuses the operator's output partitioning") {
+    withStrategy {
+      val li  = SynthData.lineitem(spark, sf = 0.002)
+      val ord = SynthData.orders(spark, sf = 0.002)
+      val o2  = SynthData.orders(spark, sf = 0.002, seed = 11)
+        .selectExpr("o_orderkey AS o2_orderkey", "o_totalprice AS o2_totalprice")
+      val joined = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
+        .join(o2, ord("o_orderkey") === o2("o2_orderkey"))
+      Oracle.assertEquivalent(
+        joined,
+        "SELECT l.*, o.*, o2.* FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey " +
+          "JOIN o2 ON o.o_orderkey = o2.o2_orderkey",
+        "lineitem" -> li,
+        "orders"   -> ord,
+        "o2"       -> o2,
+      )
+      // One exchange per input: the second join's left side is already
+      // hash-partitioned on o_orderkey by the first join.
+      val plan      = joined.queryExecution.executedPlan
+      val exchanges = collect(plan) { case e: ShuffleExchangeLike => e }
+      assert(exchanges.size == 3, s"expected 3 exchanges:\n$plan")
+    }
   }
 
   test("SQL join through the strategy matches DuckDB") {
