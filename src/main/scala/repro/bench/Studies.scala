@@ -30,9 +30,11 @@ object Studies {
     finally store.close()
   }
 
-  /** The paper's recommended setup for §5-§7: 20 partitions in every round. */
+  /** The paper's recommended setup for §5-§7: 20 partitions in every round,
+    * and no probe filter, which the paper does not have.
+    */
   private def paperConfig(memoryFrames: Int, seed: Long): HHJConfig =
-    HHJConfig(memoryFrames, FrameSize, PartitionRule.Dynamic(20, 20), seed = seed)
+    HHJConfig(memoryFrames, FrameSize, PartitionRule.Dynamic(20, 20), probeFilter = false, seed = seed)
 
   // ------------------------------------------------------------------
   // Table 1 — Equation 2 partition counts
@@ -105,6 +107,7 @@ object Studies {
         // paper does: no §8 shortcuts rescue a bad partition count.
         roleReversal = false,
         inMemoryHashJoin = !fixedAllRounds,
+        probeFilter = false,
         seed = SweepSeed,
       )
       val bytes = inputMB * 1024 * 1024

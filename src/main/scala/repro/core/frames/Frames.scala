@@ -77,12 +77,15 @@ object Frame {
 final class FramePool(val totalFrames: Int) {
   require(totalFrames >= 2, s"join memory must be at least 2 frames, got $totalFrames")
   private var inUse = 0
+  private var high  = 0
 
   def used: Int      = inUse
   def available: Int = totalFrames - inUse
+  /** The most frames that were ever in use at once. */
+  def peak: Int      = high
 
   def tryAcquire(): Boolean =
-    if (inUse < totalFrames) { inUse += 1; true } else false
+    if (inUse < totalFrames) { inUse += 1; high = math.max(high, inUse); true } else false
 
   def release(n: Int = 1): Unit = {
     require(inUse >= n, s"releasing $n frames but only $inUse in use")

@@ -42,6 +42,13 @@ object DynamicHHJ {
     */
   val MaxDepth = 16
 
+  /** Probe filter stop rule: when more than `FilterStopShare` of a round's
+    * first `FilterSample` tested probe records pass, the filter is not
+    * dropping enough to pay for its test, and the round stops testing.
+    */
+  val FilterSample    = 4096
+  val FilterStopShare = 0.9
+
   def join[T](
       build: Iterator[JoinRec[T]],
       probe: Iterator[JoinRec[T]],
@@ -149,6 +156,42 @@ object DynamicHHJ {
         }
         b += 1
       }
+    }
+  }
+
+  /** A bit filter over one round's spilled build keys (Babb, TODS 1979):
+    * one bit per key, so a probe key whose bit is clear matches no spilled
+    * build record. `memoryBytes / 8` bits (1/64 of the join memory),
+    * rounded up to a power of two of at least 64 (at most 2^32). The hash — the key XOR a
+    * round-seed mix, times an odd constant, top bits — is independent of
+    * `SplitFun.partition` and of `HashTable.bucket`. `mayMatch` also keeps
+    * the stop rule: `testing` turns false after `FilterSample` tests of
+    * which more than `FilterStopShare` passed.
+    */
+  private final class KeyFilter(memoryBytes: Long, seed: Long) {
+    private val logBits = (6 until 32).find(b => (1L << b) >= memoryBytes / 8).getOrElse(32)
+    private val words   = new Array[Long](1 << (logBits - 6))
+    private val mix     = seed * 0xC2B2AE3D27D4EB4FL
+    private var tested  = 0
+    private var passed  = 0
+    var testing         = true
+
+    private def bit(key: Long): Long = ((key ^ mix) * 0xFF51AFD7ED558CCDL) >>> (64 - logBits)
+
+    def add(keys: Array[Long], n: Int): Unit = {
+      var i = 0
+      while (i < n) { val b = bit(keys(i)); words((b >>> 6).toInt) |= 1L << b; i += 1 }
+    }
+
+    def mayMatch(key: Long): Boolean = {
+      val b    = bit(key)
+      val pass = (words((b >>> 6).toInt) & (1L << b)) != 0
+      if (tested < FilterSample) {
+        tested += 1
+        if (pass) passed += 1
+        if (tested == FilterSample) testing = passed <= FilterStopShare * FilterSample
+      }
+      pass
     }
   }
 
@@ -268,6 +311,9 @@ object DynamicHHJ {
     val buildFiles = new Array[SpillFile[T]](P)
     val probeFiles = new Array[SpillFile[T]](P)
     var roundBuild = 0L // build bytes read so far
+    // Set from every spilled build record; made on the round's first build
+    // flush, so a round that spills nothing has none.
+    var filter: KeyFilter = null
 
     /** A partition has spilled iff it has a build file. The per-record
       * tests in `tryPlace` and the probe loop spell this out: calling it
@@ -287,6 +333,10 @@ object DynamicHHJ {
       val bytes = p.bytesInMemory
       val build = files eq buildFiles
       if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
+      if (build && cfg.probeFilter) {
+        if (filter == null) filter = new KeyFilter(cfg.memoryFrames.toLong * cfg.frameSize, seed)
+        p.frames.foreach(f => filter.add(f.keyArray, f.recordCount))
+      }
       files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
       stats.io.noteWrite(n, bytes)
       if (build) stats.buildIo.noteWrite(n, bytes)
@@ -423,7 +473,8 @@ object DynamicHHJ {
 
     // ---------------- Probe phase ----------------
     // Resident-partition records are probed in batches, in probe order;
-    // a spilled partition's go to its output buffer.
+    // a spilled partition's go to its output buffer unless the filter shows
+    // that no spilled build record has their key.
     val batch   = new Array[JoinRec[T]](ProbeBatch)
     var batched = 0
     while (probeIt.hasNext) {
@@ -435,7 +486,8 @@ object DynamicHHJ {
         batch(batched) = r
         batched += 1
         if (batched == ProbeBatch) { table.probeBatch(batch, batched, stats, emit); batched = 0 }
-      } else require(buffer(parts(pid), r, probeFiles), "probe buffer reservation failed")
+      } else if (filter != null && filter.testing && !filter.mayMatch(r.key)) stats.probeFiltered += 1
+      else require(buffer(parts(pid), r, probeFiles), "probe buffer reservation failed")
     }
     table.probeBatch(batch, batched, stats, emit)
 
@@ -449,6 +501,7 @@ object DynamicHHJ {
       if (probeFiles(pid) != null) pairs += ((buildFiles(pid), probeFiles(pid), roundBuild))
       else buildFiles(pid).delete()
     }
+    stats.peakFrames = math.max(stats.peakFrames, pool.peak)
     pairs.toSeq
   }
 }

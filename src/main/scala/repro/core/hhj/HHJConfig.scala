@@ -55,6 +55,14 @@ object PartitionRule {
   * @param reloadSpilled §8.5: after the build phase, reload each spilled
   *                      build partition whose file's frame count fits in
   *                      leftover memory, refilling its frames in file order
+  * @param probeFilter   drop a probe record bound for a spilled partition
+  *                      when a bit filter over the round's spilled build keys
+  *                      shows that none has its key, instead of spilling it
+  *                      (bit-vector filtering, Babb 1979; not in the paper,
+  *                      so its studies turn it off). The filter takes 1/64 of
+  *                      the join memory on top of the frames, only in rounds
+  *                      that spill; a round stops testing when its first
+  *                      4,096 tests pass more than 90% of records
   *
   * The later rounds' fixed thresholds are not configurable: Equation 2 uses
   * Table 1's fudge factor 1.3 ([[Shapiro.Fudge]]), and §8.3's
@@ -71,6 +79,7 @@ final case class HHJConfig(
     roleReversal: Boolean = true,
     inMemoryHashJoin: Boolean = true,
     reloadSpilled: Boolean = false,
+    probeFilter: Boolean = true,
     seed: Long = 42,
 ) {
   require(memoryFrames >= 3, "need at least 3 frames of join memory")

@@ -40,6 +40,14 @@ final class HHJStats {
   /** §8.2 role reversals and §8.5 reloaded partitions. */
   var roleReversals      = 0L
   var reloadedPartitions = 0L
+  /** Probe records bound for a spilled partition that the probe filter
+    * dropped (see [[HHJConfig.probeFilter]]); also counted as processed.
+    */
+  var probeFiltered = 0L
+  /** Most frames in use at once in any partitioned round: never above
+    * `HHJConfig.memoryFrames`.
+    */
+  var peakFrames = 0
 
   // ---- Round-1 (first build phase) metrics ----
   var round1Partitions        = 0

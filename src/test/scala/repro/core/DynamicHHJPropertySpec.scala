@@ -34,7 +34,8 @@ class DynamicHHJPropertySpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, "\n" + Pretty.pretty(result, Pretty.Params(2)))
     info(s"$seen")
-    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0, s"generator missed a path: $seen")
+    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0,
+      s"generator missed a path: $seen")
   }
 }
 
@@ -68,6 +69,7 @@ object DynamicHHJPropertySpec {
       roleReversal: Boolean,
       inMemoryHashJoin: Boolean,
       reloadSpilled: Boolean,
+      probeFilter: Boolean,
       fixedAllRounds: Boolean,
       frames: Int,
       partitions: Int,
@@ -92,6 +94,7 @@ object DynamicHHJPropertySpec {
       roleReversal = roleReversal,
       inMemoryHashJoin = inMemoryHashJoin,
       reloadSpilled = reloadSpilled,
+      probeFilter = probeFilter,
       seed = seed,
     )
 
@@ -105,7 +108,7 @@ object DynamicHHJPropertySpec {
     override def toString: String =
       s"Case(victim=${Victims(victim)().name}, insertion=${Insertions(insertion)().name}, " +
         s"growth=${config.growth.name}, roleReversal=$roleReversal, inMemoryHashJoin=$inMemoryHashJoin, " +
-        s"reloadSpilled=$reloadSpilled, rule=${config.partitionRule}, frames=$frames, frameSize=$frameSize, " +
+        s"reloadSpilled=$reloadSpilled, probeFilter=$probeFilter, rule=${config.partitionRule}, frames=$frames, frameSize=$frameSize, " +
         s"sizes=$minSize..$maxSize, data=${DataNames(data)}, keySpace=$keySpace, build=$buildN, probe=$probeN, seed=$seed)"
   }
 
@@ -119,6 +122,7 @@ object DynamicHHJPropertySpec {
     rr         <- Gen.oneOf(false, true)
     inMemory   <- Gen.oneOf(false, true)
     reload     <- Gen.frequency(1 -> false, 2 -> true)
+    filter     <- Gen.oneOf(false, true)
     fixed      <- Gen.oneOf(false, true)
     frames     <- Gen.frequency(1 -> Gen.choose(3, 10), 1 -> Gen.choose(3, 64))
     partitions <- Gen.choose(2, frames - 1)
@@ -139,7 +143,7 @@ object DynamicHHJPropertySpec {
     matchesPerProbe = HotShare(data) * HotShare(data) * buildN + buildN.toDouble / keySpace
     probeN <- Gen.choose(0, math.min(2 * buildN, (PairBudget / matchesPerProbe).toInt))
     seed   <- Gen.choose(0L, 1L << 20)
-  } yield Case(victim, insertion, gs, rr, inMemory, reload, fixed, frames, partitions, frameSize, minSize, maxSize,
+  } yield Case(victim, insertion, gs, rr, inMemory, reload, filter, fixed, frames, partitions, frameSize, minSize, maxSize,
     data, keySpace, buildN, probeN, seed)
 
   /** `v`'s halving steps down to `lo`, nearest to `lo` first. */
@@ -157,6 +161,7 @@ object DynamicHHJPropertySpec {
       off(c.roleReversal, _.copy(roleReversal = false)) #:::
       off(c.inMemoryHashJoin, _.copy(inMemoryHashJoin = false)) #:::
       off(c.reloadSpilled, _.copy(reloadSpilled = false)) #:::
+      off(c.probeFilter, _.copy(probeFilter = false)) #:::
       off(c.fixedAllRounds, _.copy(fixedAllRounds = false)) #:::
       towards(c.partitions, 2).map(p => c.copy(partitions = p)) #:::
       towards(c.frames, c.partitions + 1).map(f => c.copy(frames = f)) #:::
@@ -168,9 +173,10 @@ object DynamicHHJPropertySpec {
 
   /** How many passing cases took each rare path. */
   final class Coverage {
-    var cases, reloads, bnlj, reversals = 0
+    var cases, reloads, bnlj, reversals, filtered = 0
     override def toString: String =
-      s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles"
+      s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
+        s"$filtered filter probe records"
   }
 
   def check(c: Case, seen: Coverage): Prop = {
@@ -189,6 +195,8 @@ object DynamicHHJPropertySpec {
       (stats.outputRecords == got.length) :| s"outputRecords=${stats.outputRecords}, emits=${got.length}",
       (stats.buildRecordsProcessed >= build.size) :| s"buildRecordsProcessed=${stats.buildRecordsProcessed}",
       (stats.probeRecordsProcessed >= probe.size) :| s"probeRecordsProcessed=${stats.probeRecordsProcessed}",
+      (c.probeFilter || stats.probeFiltered == 0) :| s"probeFiltered=${stats.probeFiltered} with the filter off",
+      (stats.peakFrames <= c.frames) :| s"peakFrames=${stats.peakFrames} > memoryFrames=${c.frames}",
       // Not `==`: a probe-buffer reservation can spill a victim after the
       // round-1 sample, and its bytes count both as resident and as spilled.
       (stats.round1ResidentBytes + stats.round1BuildSpillBytes >= build.iterator.map(_.size.toLong).sum) :|
@@ -208,6 +216,7 @@ object DynamicHHJPropertySpec {
     if (stats.reloadedPartitions > 0) seen.reloads += 1
     if (stats.bnljRounds > 0) seen.bnlj += 1
     if (stats.roleReversals > 0) seen.reversals += 1
+    if (stats.probeFiltered > 0) seen.filtered += 1
     ok
   }
 

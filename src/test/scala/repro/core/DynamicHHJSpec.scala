@@ -304,6 +304,60 @@ class DynamicHHJSpec extends AnyFunSuite {
     assert(got == TestData.naiveJoin(b, p))
   }
 
+  // ---------------- Probe filter ----------------
+
+  /** 10 frames of 4 KB: 40 KB of join memory, so a filter of 40 KB / 8 =
+    * 5,120 bits, rounded up to 8,192.
+    */
+  private def filterCfg = baseCfg(memoryFrames = 10, frameSize = 4096)
+
+  test("probe filter: probe keys disjoint from the build keys are dropped, not spilled") {
+    val b = TestData.records(2000, keySpace = 300, 30, 60, seed = 61)
+    val p = TestData.records(3000, keySpace = 300, 30, 60, seed = 62, idBase = 50000).map(r => r.copy(key = r.key + 1000))
+    val (got, stats) = runJoin(b, p, filterCfg)
+    val (_, off)     = runJoin(b, p, filterCfg.copy(probeFilter = false))
+    assert(got.isEmpty)
+    assert(stats.round1SpilledPartitions > 0 && off.probeSpillBytes > 0)
+    assert(stats.probeFiltered > 0 && stats.probeRecordsProcessed >= p.size)
+    // One hash per key: a probe key passes with the share of bits set,
+    // about 1 - e^(-n/m) for n distinct spilled keys and m bits. Round 1
+    // tests every probe record at most once, and a later round only
+    // re-tests round 1's passes, so the probe spill is at most twice that.
+    val bits      = 8192.0
+    val falsePass = 1 - math.exp(-b.map(_.key).distinct.size / bits)
+    val probeB    = p.map(_.size.toLong).sum
+    assert(stats.probeSpillBytes <= 2 * falsePass * probeB,
+      s"probe spill ${stats.probeSpillBytes} B of $probeB B, false-pass share ${falsePass}")
+  }
+
+  test("probe filter: a round whose first 4,096 tests nearly all pass stops testing and equals the join without it") {
+    val b     = TestData.records(4000, keySpace = 300, 30, 60, seed = 63)
+    val hits  = Vector.tabulate(6000)(i => b(i % b.size).copy(payload = Int.box(50000 + i)))
+    // Disjoint keys after the sample: a filter still testing would drop them.
+    val tail  = TestData.records(500, keySpace = 300, 30, 60, seed = 64, idBase = 70000).map(r => r.copy(key = r.key + 1000))
+    // 8 partitions: every one spills in round 1, and each spilled pair is
+    // small enough for §8.3, so round 1 is the only round that tests.
+    val cfg         = baseCfg(memoryFrames = 10, frameSize = 4096, partitions = 8)
+    val (got, on)   = runJoin(b, hits ++ tail, cfg)
+    val (want, off) = runJoin(b, hits ++ tail, cfg.copy(probeFilter = false))
+    assert(on.round1SpilledPartitions == on.round1Partitions, "every round-1 probe record must be tested")
+    assert(got == want && got == TestData.naiveJoin(b, hits ++ tail))
+    assert(on.probeFiltered == 0)
+    assert(counters(on) == counters(off) && on.peakFrames == off.peakFrames)
+    assert(on.rounds == 1)
+    val (_, tailOnly) = runJoin(b, tail, cfg)
+    assert(tailOnly.probeFiltered > 0, "the tail is dropped when it is tested")
+  }
+
+  test("probe filter: G-S, §8.5 reload and role reversal together equal the naive join") {
+    val b   = TestData.records(3000, keySpace = 400, 20, 200, seed = 51)
+    val p   = TestData.records(1500, keySpace = 800, 20, 200, seed = 61, idBase = 50000)
+    val cfg = baseCfg(memoryFrames = 16).copy(insertion = () => FirstFit, growth = GrowthPolicy.GS, reloadSpilled = true)
+    val (got, stats) = runJoin(b, p, cfg)
+    assert(got == TestData.naiveJoin(b, p))
+    assert(stats.probeFiltered > 0 && stats.reloadedPartitions > 0 && stats.roleReversals > 0, counters(stats))
+  }
+
   // ---------------- Statistics plausibility ----------------
 
   test("statistics account every processed record") {
@@ -470,7 +524,9 @@ class DynamicHHJSpec extends AnyFunSuite {
 
   // ---------------- Golden counters ----------------
 
-  /** Every `HHJStats` counter, grouped; fullness in its exact hex form. */
+  /** Every `HHJStats` counter but `probeFiltered` and `peakFrames`,
+    * grouped; fullness in its exact hex form.
+    */
   private def counters(s: HHJStats): String = {
     def io(i: IOStats) =
       Seq(i.seqWriteOps, i.seqWriteFrames, i.randWriteOps, i.randWriteFrames, i.bytesWritten, i.readOps, i.readFrames, i.bytesRead)
@@ -490,6 +546,8 @@ class DynamicHHJSpec extends AnyFunSuite {
   // The engine is deterministic, so an engine rewrite that keeps behaviour
   // keeps every counter. These values pin the insertion, growth and reload
   // paths on a multi-round spilling join (G-S and Random(10%) NG-NS reload).
+  // The probe filter is off in the golden tests: they pin the paper's
+  // algorithm, which has none.
   private val goldenCounters = Seq(
       "Append(8) NG-NS reload=false: io=16/133/565/565/659770/32/698/659770 buildIo=16/133/204/204/320270/0/0/0 search=2928/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
       "Append(8) NG-NS reload=true: io=16/133/565/565/659770/32/698/659770 buildIo=16/133/204/204/320270/0/0/0 search=2928/0/3814 rounds=11/6/0/3 recs=4377/4657/5579 spill=320270/339500/16/5/0 r1=4/4/0/161046/0x1.7acp-2/4",
@@ -523,7 +581,7 @@ class DynamicHHJSpec extends AnyFunSuite {
     val got =
       for ((name, ins) <- insertions; g <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS); reload <- Seq(false, true))
         yield {
-          val cfg = baseCfg(memoryFrames = 16).copy(insertion = ins, growth = g, reloadSpilled = reload)
+          val cfg = baseCfg(memoryFrames = 16).copy(insertion = ins, growth = g, reloadSpilled = reload, probeFilter = false)
           s"$name ${g.name} reload=$reload: ${counters(runJoin(b, p, cfg)._2)}"
         }
     assert(got.size == goldenCounters.size)
@@ -555,11 +613,12 @@ class DynamicHHJSpec extends AnyFunSuite {
     val small = TestData.records(800, 900, 30, 60, seed = 26, idBase = 90000)
     val hotB  = TestData.skewed(2000, 300, hotShare = 0.6, 30, 120, seed = 21)
     val hotP  = TestData.skewed(1000, 300, hotShare = 0.3, 30, 120, seed = 22, idBase = 60000)
+    val paper = baseCfg().copy(probeFilter = false)
     val cases = Seq(
-      ("resident", dupB, dupP, baseCfg(memoryFrames = 512).copy(insertion = () => FirstFit), (s: HHJStats) => s.rounds == 1),
-      ("§8.2+§8.3", big, small, baseCfg(memoryFrames = 16), (s: HHJStats) => s.roleReversals > 0 && s.inMemoryRounds > 0),
-      ("§8.1", hotB, hotP, baseCfg(memoryFrames = 10), (s: HHJStats) => s.bnljRounds > 0),
-      ("§8.5", dupB, dupP, baseCfg(memoryFrames = 16).copy(insertion = () => FirstFit, growth = GrowthPolicy.GS, reloadSpilled = true),
+      ("resident", dupB, dupP, paper.copy(memoryFrames = 512, insertion = () => FirstFit), (s: HHJStats) => s.rounds == 1),
+      ("§8.2+§8.3", big, small, paper.copy(memoryFrames = 16), (s: HHJStats) => s.roleReversals > 0 && s.inMemoryRounds > 0),
+      ("§8.1", hotB, hotP, paper.copy(memoryFrames = 10), (s: HHJStats) => s.bnljRounds > 0),
+      ("§8.5", dupB, dupP, paper.copy(memoryFrames = 16, insertion = () => FirstFit, growth = GrowthPolicy.GS, reloadSpilled = true),
         (s: HHJStats) => s.reloadedPartitions > 0),
     )
     val got = cases.map { case (name, b, p, cfg, reaches) =>
@@ -723,7 +782,8 @@ class DynamicHHJSpec extends AnyFunSuite {
            g <- Seq(GrowthPolicy.NGNS, GrowthPolicy.GS); reload <- Seq(false, true))
         yield {
           val v   = new RecordingVictim(mk())
-          val cfg = baseCfg(memoryFrames = frames).copy(insertion = () => FirstFit, victim = () => v, growth = g, reloadSpilled = reload)
+          val cfg = baseCfg(memoryFrames = frames)
+            .copy(insertion = () => FirstFit, victim = () => v, growth = g, reloadSpilled = reload, probeFilter = false)
           val store = new InMemorySpillStore[Integer]
           val stats = DynamicHHJ.join(b.iterator, p.iterator, cfg, store, (_: JoinRec[Integer], _: JoinRec[Integer]) => ())
           store.close()

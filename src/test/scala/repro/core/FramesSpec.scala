@@ -84,7 +84,7 @@ class FramesSpec extends AnyFunSuite {
     assert(p.tryAcquire() && p.tryAcquire())
     assert(p.used == 2 && p.available == 2)
     p.release(2)
-    assert(p.used == 0)
+    assert(p.used == 0 && p.peak == 2)
   }
 
   test("pool denies acquisition beyond capacity") {
@@ -132,6 +132,7 @@ class FramesSpec extends AnyFunSuite {
       val parts = Array.tabulate(3)(new PartitionState[Null](_, 100))
       val bytes = new Array[Long](3)
       val recs  = new Array[Long](3)
+      var high  = 0
       ops.foreach { case (op, i, size) =>
         val p = parts(i)
         op match {
@@ -148,6 +149,8 @@ class FramesSpec extends AnyFunSuite {
             bytes(i) = 0; recs(i) = 0
         }
         assert(pool.used == parts.map(_.frames.size).sum)
+        high = math.max(high, pool.used)
+        assert(pool.peak == high)
         parts.indices.foreach { j =>
           assert(parts(j).bytesInMemory == bytes(j) && parts(j).recordsInMemory == recs(j))
         }
