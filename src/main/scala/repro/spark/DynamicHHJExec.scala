@@ -105,8 +105,9 @@ case class DynamicHHJExec(
         )
         LastStats.set(stats)
       } finally {
-        store.close()
-        dir.delete(): Unit
+        // `close` rethrows a failed spill write once it has deleted the files.
+        try store.close()
+        finally dir.delete(): Unit
       }
       out.iterator
     }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.Files
+
 import scala.collection.mutable.ArrayBuffer
 
 import org.scalacheck.{Gen, Prop, Shrink, Test}
@@ -10,16 +12,18 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Studies
 import repro.core.frames.JoinRec
 import repro.core.growth.GrowthPolicy
-import repro.core.hhj.{DynamicHHJ, HHJConfig, PartitionRule}
+import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion.InsertionPolicy
-import repro.core.spill.{InMemorySpillStore, SpillFile, SpillStore}
+import repro.core.spill.{DiskSpillStore, InMemorySpillStore, SpillFile, SpillStore}
 import repro.core.victim.{BestMatch, VictimPolicy}
 
 /** Differential property suite: `DynamicHHJ.join` against
   * `TestData.naiveJoin` over random configurations, with a spill store that
   * keeps its own ledger of every file, write and read for the engine's
-  * `IOStats` to agree with. The seed is fixed, so every run checks the same
-  * cases; a failure prints the case shrunk to a smaller one that still fails.
+  * `IOStats` to agree with. A quarter of the cases spill to a
+  * `DiskSpillStore`, the rest to the heap. The seed is fixed, so every run
+  * checks the same cases; a failure prints the case shrunk to a smaller one
+  * that still fails.
   */
 class DynamicHHJPropertySpec extends AnyFunSuite {
   import DynamicHHJPropertySpec._
@@ -36,6 +40,8 @@ class DynamicHHJPropertySpec extends AnyFunSuite {
     info(s"$seen")
     assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0,
       s"generator missed a path: $seen")
+    assert(seen.disk.reloads > 0 && seen.disk.bnlj > 0 && seen.disk.reversals > 0 && seen.disk.recursions > 0,
+      s"no disk case took some path: $seen")
   }
 }
 
@@ -102,6 +108,11 @@ object DynamicHHJPropertySpec {
       if (data == Uniform) TestData.records(n, keySpace, minSize, maxSize, seed, idBase)
       else TestData.skewed(n, keySpace, HotShare(data), minSize, maxSize, seed, idBase)
 
+    /** Spills to disk: a quarter of the cases, chosen by the drawn seed so
+      * the case stream is unchanged and shrinking keeps a case on its store.
+      */
+    def onDisk: Boolean = seed % 4 == 0
+
     def build: Vector[JoinRec[Integer]] = side(buildN, seed, 0)
     def probe: Vector[JoinRec[Integer]] = side(probeN, seed + 1, ProbeIdBase)
 
@@ -109,7 +120,8 @@ object DynamicHHJPropertySpec {
       s"Case(victim=${Victims(victim)().name}, insertion=${Insertions(insertion)().name}, " +
         s"growth=${config.growth.name}, roleReversal=$roleReversal, inMemoryHashJoin=$inMemoryHashJoin, " +
         s"reloadSpilled=$reloadSpilled, probeFilter=$probeFilter, rule=${config.partitionRule}, frames=$frames, frameSize=$frameSize, " +
-        s"sizes=$minSize..$maxSize, data=${DataNames(data)}, keySpace=$keySpace, build=$buildN, probe=$probeN, seed=$seed)"
+        s"sizes=$minSize..$maxSize, data=${DataNames(data)}, keySpace=$keySpace, build=$buildN, probe=$probeN, seed=$seed, " +
+        s"store=${if (onDisk) "disk" else "heap"})"
   }
 
   val genCase: Gen[Case] = for {
@@ -171,21 +183,40 @@ object DynamicHHJPropertySpec {
       towards(c.minSize, 1).map(s => c.copy(minSize = s))
   }
 
-  /** How many passing cases took each rare path. */
+  /** How many passing cases took each rare path; `disk` counts the cases
+    * that spilled to disk.
+    */
   final class Coverage {
-    var cases, reloads, bnlj, reversals, filtered = 0
-    override def toString: String =
-      s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
-        s"$filtered filter probe records"
+    var cases, reloads, bnlj, reversals, filtered, recursions = 0
+    lazy val disk: Coverage = new Coverage
+
+    def note(stats: HHJStats): Unit = {
+      cases += 1
+      if (stats.reloadedPartitions > 0) reloads += 1
+      if (stats.bnljRounds > 0) bnlj += 1
+      if (stats.roleReversals > 0) reversals += 1
+      if (stats.probeFiltered > 0) filtered += 1
+      if (stats.rounds > 1) recursions += 1
+    }
+
+    private def paths: String =
+      s"$reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
+        s"$filtered filter probe records, $recursions partition a spilled pair again"
+    override def toString: String = s"$cases cases: $paths; ${disk.cases} on disk: ${disk.paths}"
   }
 
   def check(c: Case, seen: Coverage): Prop = {
     val build = c.build
     val probe = c.probe
-    val store = new LedgerStore
+    val dir   = if (c.onDisk) Files.createTempDirectory("hhj-property-spill").toFile else null
+    val store = new LedgerStore(if (c.onDisk) new DiskSpillStore(dir, TestData.intSerde) else new InMemorySpillStore)
     val out   = Array.newBuilder[Long]
-    val stats = DynamicHHJ.join(build.iterator, probe.iterator, c.config, store,
-      (b: JoinRec[Integer], p: JoinRec[Integer]) => out += (b.payload.longValue << 32 | p.payload.longValue))
+    val stats =
+      try DynamicHHJ.join(build.iterator, probe.iterator, c.config, store,
+        (b: JoinRec[Integer], p: JoinRec[Integer]) => out += (b.payload.longValue << 32 | p.payload.longValue))
+      finally store.close()
+    val left = if (c.onDisk) dir.list().length else 0
+    if (c.onDisk) dir.delete()
     val got = out.result()
     val want = TestData.naiveJoin(build, probe).iterator.map { case (b, p) => b.toLong << 32 | p }.toArray
     java.util.Arrays.sort(got); java.util.Arrays.sort(want)
@@ -211,22 +242,19 @@ object DynamicHHJPropertySpec {
       store.misuse.isEmpty :| s"store misuse: ${store.misuse.mkString("; ")}",
       (store.reloadReads == stats.reloadedPartitions) :|
         s"${stats.reloadedPartitions} reloads counted, ${store.reloadReads} reload reads",
+      (left == 0) :| s"$left files left in the spill dir after close",
     )
-    seen.cases += 1
-    if (stats.reloadedPartitions > 0) seen.reloads += 1
-    if (stats.bnljRounds > 0) seen.bnlj += 1
-    if (stats.roleReversals > 0) seen.reversals += 1
-    if (stats.probeFiltered > 0) seen.filtered += 1
+    seen.note(stats)
+    if (c.onDisk) seen.disk.note(stats)
     ok
   }
 
-  /** An in-memory spill store whose files record every write, read and
-    * delete. A §8.5 reload is the one place where the engine deletes a file
-    * right after reading it: the two files of a spilled pair are read one
-    * after the other and deleted only after both.
+  /** A spill store whose files record every write, read and delete, and
+    * pass them on to `inner`'s. A §8.5 reload is the one place where the
+    * engine deletes a file right after reading it: the two files of a
+    * spilled pair are read one after the other and deleted only after both.
     */
-  final class LedgerStore extends SpillStore[Integer] {
-    private val inner = new InMemorySpillStore[Integer]
+  final class LedgerStore(inner: SpillStore[Integer]) extends SpillStore[Integer] {
     val files         = ArrayBuffer.empty[LedgerFile]
     val misuse        = ArrayBuffer.empty[String]
     var appendedBytes, appendedFrames, reads, readBytes, readFrames, reloadReads = 0L

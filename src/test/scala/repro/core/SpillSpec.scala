@@ -1,13 +1,18 @@
 package repro.core
 
-import java.io.{EOFException, File, RandomAccessFile}
+import java.io.{EOFException, File, IOException, RandomAccessFile}
 import java.nio.ByteBuffer
 import java.nio.file.{FileAlreadyExistsException, Files}
+
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+import scala.jdk.CollectionConverters._
 
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.frames.JoinRec
 import repro.core.growth.GrowthCostModel
+import repro.core.hhj.{DynamicHHJ, HHJConfig, PartitionRule}
 import repro.core.spill._
 
 class SpillSpec extends AnyFunSuite {
@@ -88,6 +93,7 @@ class SpillSpec extends AnyFunSuite {
     val store = new DiskSpillStore[Null](dir, Serde.nullSerde)
     val f     = store.newFile("b")
     f.append((0 until 1000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 3)
+    f.readAll() // lets the pending writes land, so the cut is to a fully written file
     val file = dir.listFiles().head
     val raf  = new RandomAccessFile(file, "rw")
     try raf.setLength(file.length - 5)
@@ -126,21 +132,37 @@ class SpillSpec extends AnyFunSuite {
     store.close()
   }
 
-  test("every append is on disk when it returns: nothing waits in the staging buffer") {
+  /** The entries' bytes as a disk spill file holds them. */
+  private def encodedBytes(recs: Seq[JoinRec[Array[Byte]]]): Array[Byte] = {
+    val out = ByteBuffer.allocate(encoded(recs).toInt)
+    recs.foreach(r => out.putLong(r.key).putInt(r.size).putInt(r.payload.length).put(r.payload))
+    out.array()
+  }
+
+  test("write-behind: a file is at most two buffers short, exact after a readAll") {
     val dir   = Files.createTempDirectory("spill-test").toFile
     val store = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
     val f     = store.newFile("b")
-    val g     = store.newFile("p") // shares the staging buffer with `f`
-    val sizes = Seq(Seq(10), Seq(10, 10, 10), Seq(70 * 1024), Seq(5000) ++ Seq.fill(40)(10), Seq(200 * 1024, 10))
+    val g     = store.newFile("p") // shares the staging buffers with `f`
+    val file  = new File(dir, "00001-b.spill")
+    val sizes = Seq(Seq(10), Seq(10, 10, 10), Seq(70 * 1024), Seq(5000) ++ Seq.fill(40)(10), Seq(200 * 1024, 10),
+      Seq.fill(30)(3000), Seq(40 * 1024), Seq(40 * 1024), Seq(60 * 1024))
     var all   = Vector.empty[JoinRec[Array[Byte]]]
     for ((ns, i) <- sizes.zipWithIndex) {
       val recs = ns.zipWithIndex.map { case (n, j) => byteRec(i * 100 + j, n) }
       f.append(recs.iterator, nFrames = 1)
       g.append(Iterator(byteRec(i, 10)), nFrames = 1)
       all ++= recs
-      assert(new File(dir, "00001-b.spill").length == encoded(all), s"after append $i")
+      val short = encoded(all) - file.length
+      assert(short >= 0 && short <= 2L * DiskSpillStore.BufferBytes, s"after append $i: $short bytes short")
+      if (i % 2 == 1) {
+        assertSameRecs(f.readAll().toVector, all)
+        assert(file.length == encoded(all), s"after append $i")
+        assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)), s"after append $i")
+      }
     }
     assertSameRecs(f.readAll().toVector, all)
+    assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)))
     store.close()
   }
 
@@ -177,6 +199,105 @@ class SpillSpec extends AnyFunSuite {
     val store = tmpStore(Serde.nullSerde)
     assert(store.newFile("e").readAll().isEmpty)
     store.close()
+  }
+
+  // ---------------- The disk store's writer thread ----------------
+
+  /** The live writer threads of the store spilling under `dir`: each is named after its directory. */
+  private def writers(dir: File): Seq[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.toSeq.filter(t => t.getName == s"spill-writer-${dir.getName}" && t.isAlive)
+
+  test("a store that never fills a buffer and is never read starts no writer thread") {
+    val dir    = Files.createTempDirectory("spill-test").toFile
+    val store  = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
+    val (f, g) = (store.newFile("b"), store.newFile("p"))
+    // 40 entries of 1,016 bytes fill less than one 64 KB buffer.
+    for (i <- 0 until 20) { f.append(Iterator(byteRec(i, 1000)), 1); g.append(Iterator(byteRec(i, 1000)), 1) }
+    assert(writers(dir).isEmpty)
+    store.close()
+    assert(writers(dir).isEmpty && dir.list().isEmpty)
+  }
+
+  test("close leaves no writer thread alive, also after a join that threw mid-way") {
+    val build = TestData.records(4000, keySpace = 1000, 50, 200, seed = 1)
+    val probe = TestData.records(4000, keySpace = 1000, 50, 200, seed = 2, idBase = 100000)
+    val cfg = HHJConfig(memoryFrames = 16, frameSize = 1024,
+      partitionRule = PartitionRule.Dynamic(firstRound = 8, laterLowerBound = 2))
+    for (throwAt <- Seq(0L, 100L)) {
+      val dir     = Files.createTempDirectory("spill-test").toFile
+      val store   = new DiskSpillStore[Integer](dir, TestData.intSerde)
+      var emitted = 0L
+      var live    = Seq.empty[Thread] // the writer, seen before close
+      val emit = (_: JoinRec[Integer], _: JoinRec[Integer]) => {
+        emitted += 1
+        if (emitted == throwAt) {
+          live = writers(dir)
+          throw new IllegalStateException("emit failed")
+        }
+      }
+      val threw =
+        try { DynamicHHJ.join(build.iterator, probe.iterator, cfg, store, emit); live = writers(dir); false }
+        catch { case _: IllegalStateException => true }
+        finally store.close()
+      // Checked at once: `close` returns only after the writer has ended.
+      assert(live.size == 1 && !live.head.isAlive, s"throwAt=$throwAt: writers seen before close $live")
+      assert(threw == (throwAt > 0))
+      assert(writers(dir).isEmpty && dir.list().isEmpty, s"throwAt=$throwAt")
+    }
+  }
+
+  /** A store whose writer started and then failed: interrupting the writer
+    * stops its wait or closes the channel it writes through.
+    */
+  private def failedStore(): (File, DiskSpillStore[Array[Byte]], SpillFile[Array[Byte]]) = {
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val store = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
+    val f     = store.newFile("b")
+    store.newFile("p").append(Iterator(byteRec(0, 10)), 1)
+    (1 to 3).foreach(i => f.append(Iterator(byteRec(i, 40 * 1024)), 1)) // two hand-offs
+    val w = writers(dir)
+    assert(w.size == 1, "the second append hands a buffer off")
+    w.head.interrupt()
+    w.head.join(10000)
+    assert(!w.head.isAlive)
+    (dir, store, f)
+  }
+
+  test("a write that fails on the writer surfaces as an IOException from the next call; close still deletes every file") {
+    val ops = Seq[(String, SpillFile[Array[Byte]] => Any)](
+      "append"  -> (_.append(Iterator(byteRec(9, 10)), 1)),
+      "readAll" -> (_.readAll()),
+      "delete"  -> (_.delete()),
+      "close"   -> (_ => ()),
+    )
+    for ((name, op) <- ops) {
+      val (dir, store, f) = failedStore()
+      if (name != "close") intercept[IOException](op(f))
+      intercept[IOException](store.close())
+      assert(dir.list().isEmpty, s"after $name")
+      assert(writers(dir).isEmpty, s"after $name")
+    }
+  }
+
+  test("a caller never waits forever on a writer that died under it") {
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val rec = byteRec(1, 8 * 1024)
+    // The writer is interrupted from another thread while the caller keeps
+    // appending, so the caller may be waiting on it when it dies; which
+    // happens first varies, so the race runs several times.
+    for (round <- 0 until 5) {
+      val dir   = Files.createTempDirectory("spill-test").toFile
+      val store = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
+      val f     = store.newFile("b")
+      val interrupt = Future {
+        while (writers(dir).isEmpty) Thread.sleep(1)
+        writers(dir).foreach(_.interrupt())
+      }
+      val appends = Future(intercept[IOException](for (_ <- 0 until 8192) f.append(Iterator(rec), 1)))
+      Await.result(interrupt.zip(appends), 60.seconds)
+      intercept[IOException](store.close())
+      assert(dir.list().isEmpty && writers(dir).isEmpty, s"round $round")
+    }
   }
 
   // ---------------- §6.1 analytical growth-policy model ----------------

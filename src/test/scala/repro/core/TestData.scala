@@ -1,6 +1,9 @@
 package repro.core
 
+import java.nio.ByteBuffer
+
 import repro.core.frames.JoinRec
+import repro.core.spill.Serde
 
 /** Shared helpers for core-engine tests: deterministic record generators
   * with unique integer payload ids, and a naive reference join.
@@ -51,5 +54,12 @@ object TestData {
       byKey.getOrElse(p.key, Nil).foreach(b => out += ((b.payload.intValue, p.payload.intValue)))
     }
     out.result()
+  }
+
+  /** Spills an `Integer` payload as its four bytes. */
+  val intSerde: Serde[Integer] = new Serde[Integer] {
+    def bytes(t: Integer): Int                    = 4
+    def write(t: Integer, out: ByteBuffer): Unit  = out.putInt(t.intValue): Unit
+    def read(in: ByteBuffer, bytes: Int): Integer = Int.box(in.getInt())
   }
 }

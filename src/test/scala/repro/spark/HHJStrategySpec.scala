@@ -1,5 +1,9 @@
 package repro.spark
 
+import java.io.File
+
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 
@@ -49,6 +53,24 @@ class HHJStrategySpec extends SparkSpec with AdaptiveSparkPlanHelper {
       )
       assert(LastStats.spillBytes.get > 0, "the 128 KB budget must spill at this scale")
     }
+  }
+
+  test("a spilling query leaves no spill dir and no spill-writer thread behind") {
+    def spillDirs: Set[String] =
+      new File(System.getProperty("java.io.tmpdir")).list().filter(_.startsWith("hhj-exec-spill")).toSet
+    def writers: Seq[Thread] =
+      Thread.getAllStackTraces.keySet.asScala.toSeq.filter(t => t.getName.startsWith("spill-writer-hhj-exec-spill") && t.isAlive)
+    val before = spillDirs
+    withStrategy {
+      val li  = SynthData.lineitem(spark, sf = 0.002)
+      val ord = SynthData.orders(spark, sf = 0.002)
+      LastStats.reset()
+      // Every column is kept, so the rows are wide enough to spill.
+      assert(li.join(ord, li("l_orderkey") === ord("o_orderkey")).collect().nonEmpty)
+      assert(LastStats.spillBytes.get > 0, "the 128 KB budget must spill at this scale")
+    }
+    assert(spillDirs -- before == Set.empty)
+    assert(writers.isEmpty, writers.map(_.getName).mkString(", "))
   }
 
   test("a join run as several tasks matches DuckDB") {
