@@ -1,10 +1,12 @@
 package repro.bench
 
+import java.nio.file.Files
+
 import repro.core.frames.JoinRec
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule, Shapiro}
 import repro.core.insertion._
-import repro.core.spill.InMemorySpillStore
+import repro.core.spill.{DiskSpillStore, Serde}
 import repro.core.victim.VictimPolicy
 import repro.sim.IdealSpill
 import repro.storage.{Device, ResponseTimeModel}
@@ -23,9 +25,11 @@ object Studies {
   /** The large-record shares of Figures 6-8, 10-11 and 14-17. */
   val LargeRatios = Seq(0.1, 0.5, 0.9)
 
-  /** One metadata-only join on an in-memory spill store, output discarded. */
+  /** One metadata-only join, output discarded. It spills each record's key
+    * and declared size to a temp directory, which `close` removes.
+    */
   private def runJoin(build: Iterator[JoinRec[Null]], probe: Iterator[JoinRec[Null]], cfg: HHJConfig): HHJStats = {
-    val store = new InMemorySpillStore[Null]
+    val store = new DiskSpillStore[Null](Files.createTempDirectory("studies-spill").toFile, Serde.nullSerde)
     try DynamicHHJ.join(build, probe, cfg, store, (_: JoinRec[Null], _: JoinRec[Null]) => ())
     finally store.close()
   }

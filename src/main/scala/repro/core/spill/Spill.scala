@@ -69,32 +69,6 @@ trait SpillStore[T] {
   def close(): Unit
 }
 
-/** Metadata-only spill store: keeps records on the heap. Used by the
-  * simulation benches, where payloads are null and multi-GB "spills" are
-  * just counters plus record descriptors.
-  */
-final class InMemorySpillStore[T] extends SpillStore[T] {
-  private val files = ArrayBuffer.empty[InMemorySpillFile[T]]
-  def newFile(tag: String): SpillFile[T] = { val f = new InMemorySpillFile[T](tag); files += f; f }
-  def close(): Unit = { files.foreach(_.delete()); files.clear() }
-}
-
-final class InMemorySpillFile[T](val tag: String) extends SpillFile[T] {
-  private val recs  = ArrayBuffer.empty[JoinRec[T]]
-  private var nByte = 0L
-  private var nFrm  = 0L
-
-  def append(it: Iterator[JoinRec[T]], nFrames: Long): Unit = {
-    while (it.hasNext) { val r = it.next(); recs += r; nByte += r.size }
-    nFrm += nFrames
-  }
-  def readAll(): Iterator[JoinRec[T]] = recs.iterator
-  def bytes: Long                     = nByte
-  def records: Long                   = recs.size.toLong
-  def frames: Long                    = nFrm
-  def delete(): Unit                  = { recs.clear(); recs.trimToSize() }
-}
-
 /** Payload (de)serialization for on-disk spilling, through a heap buffer. */
 trait Serde[T] {
   /** The encoded size of `t`: `write(t, out)` puts exactly this many bytes. */
@@ -105,7 +79,9 @@ trait Serde[T] {
 }
 
 object Serde {
-  /** For metadata-only records spilled to disk in tests. */
+  /** For metadata-only records: the studies and the engine benches spill
+    * only each record's key and declared size, 16 bytes an entry.
+    */
   val nullSerde: Serde[Null] = new Serde[Null] {
     def bytes(t: Null): Int                    = 0
     def write(t: Null, out: ByteBuffer): Unit  = ()
@@ -113,10 +89,11 @@ object Serde {
   }
 }
 
-/** Real on-disk spill store: each spill file is a temp file of
+/** The spill store: each spill file is a file under `dir` of
   * `[key: Long][declared size: Int][payload bytes: Int][payload]` entries.
-  * Used inside Spark executors so spilling is byte-real, and by integration
-  * tests.
+  * Every join spills through it: Spark executors, the studies and the
+  * engine tests. The store owns `dir`: `close` deletes its files and then
+  * `dir`, which stays only if it holds a file the store did not create.
   *
   * Writes happen behind the caller. An append encodes its records on the
   * caller's thread into the store's filling buffer, at file positions fixed
@@ -151,14 +128,15 @@ final class DiskSpillStore[T](dir: File, serde: Serde[T]) extends SpillStore[T] 
   }
 
   /** Waits for the batch being written, stops the writer and deletes every
-    * file, even if a write failed; then rethrows that failure. The filling
-    * buffer is dropped unwritten: its files are deleted here.
+    * file and then `dir`, even if a write failed; then rethrows that
+    * failure. The filling buffer is dropped unwritten: its files are
+    * deleted here.
     */
   def close(): Unit = {
     filling.clear()
     synchronized { stopping = true; notifyAll() }
     try if (writer != null) writer.join()
-    finally { files.foreach(_.release()); files.clear() }
+    finally { files.foreach(_.release()); files.clear(); dir.delete(): Unit }
     check()
   }
 

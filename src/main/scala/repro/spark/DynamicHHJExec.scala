@@ -84,8 +84,7 @@ case class DynamicHHJExec(
           }
         }
 
-      val dir    = Files.createTempDirectory("hhj-exec-spill").toFile
-      val store  = new DiskSpillStore[UnsafeRow](dir, UnsafeRowSerde)
+      val store  = new DiskSpillStore[UnsafeRow](Files.createTempDirectory("hhj-exec-spill").toFile, UnsafeRowSerde)
       val out    = ArrayBuffer.empty[InternalRow]
       val joined = new JoinedRow
       // Downstream operators (shuffle writers in particular) require
@@ -104,11 +103,7 @@ case class DynamicHHJExec(
           },
         )
         LastStats.set(stats)
-      } finally {
-        // `close` rethrows a failed spill write once it has deleted the files.
-        try store.close()
-        finally dir.delete(): Unit
-      }
+      } finally store.close() // rethrows a failed spill write once the files and dir are gone
       out.iterator
     }
   }

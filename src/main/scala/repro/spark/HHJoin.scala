@@ -32,6 +32,7 @@ object HHJoin {
       numPartitions: Int = 0,
   ): DataFrame = {
     require(leftKeys.nonEmpty && leftKeys.size == rightKeys.size, "key lists must match positionally")
+    require(numPartitions >= 0, s"numPartitions must be 0 (the session default) or positive, not $numPartitions")
     val cond    = leftKeys.zip(rightKeys).map { case (l, r) => left(l) === right(r) }.reduce(_ && _)
     val joined  = left.join(right, cond)
     val session = joined.queryExecution.sparkSession

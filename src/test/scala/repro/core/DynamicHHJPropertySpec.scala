@@ -14,16 +14,15 @@ import repro.core.frames.JoinRec
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion.InsertionPolicy
-import repro.core.spill.{DiskSpillStore, InMemorySpillStore, SpillFile, SpillStore}
+import repro.core.spill.{DiskSpillStore, SpillFile, SpillStore}
 import repro.core.victim.{BestMatch, VictimPolicy}
 
 /** Differential property suite: `DynamicHHJ.join` against
-  * `TestData.naiveJoin` over random configurations, with a spill store that
-  * keeps its own ledger of every file, write and read for the engine's
-  * `IOStats` to agree with. A quarter of the cases spill to a
-  * `DiskSpillStore`, the rest to the heap. The seed is fixed, so every run
-  * checks the same cases; a failure prints the case shrunk to a smaller one
-  * that still fails.
+  * `TestData.naiveJoin` over random configurations, spilling to a
+  * `DiskSpillStore` through a store that keeps its own ledger of every
+  * file, write and read for the engine's `IOStats` to agree with. The seed
+  * is fixed, so every run checks the same cases; a failure prints the case
+  * shrunk to a smaller one that still fails.
   */
 class DynamicHHJPropertySpec extends AnyFunSuite {
   import DynamicHHJPropertySpec._
@@ -38,10 +37,8 @@ class DynamicHHJPropertySpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, "\n" + Pretty.pretty(result, Pretty.Params(2)))
     info(s"$seen")
-    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0,
+    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0 && seen.recursions > 0,
       s"generator missed a path: $seen")
-    assert(seen.disk.reloads > 0 && seen.disk.bnlj > 0 && seen.disk.reversals > 0 && seen.disk.recursions > 0,
-      s"no disk case took some path: $seen")
   }
 }
 
@@ -108,11 +105,6 @@ object DynamicHHJPropertySpec {
       if (data == Uniform) TestData.records(n, keySpace, minSize, maxSize, seed, idBase)
       else TestData.skewed(n, keySpace, HotShare(data), minSize, maxSize, seed, idBase)
 
-    /** Spills to disk: a quarter of the cases, chosen by the drawn seed so
-      * the case stream is unchanged and shrinking keeps a case on its store.
-      */
-    def onDisk: Boolean = seed % 4 == 0
-
     def build: Vector[JoinRec[Integer]] = side(buildN, seed, 0)
     def probe: Vector[JoinRec[Integer]] = side(probeN, seed + 1, ProbeIdBase)
 
@@ -120,8 +112,7 @@ object DynamicHHJPropertySpec {
       s"Case(victim=${Victims(victim)().name}, insertion=${Insertions(insertion)().name}, " +
         s"growth=${config.growth.name}, roleReversal=$roleReversal, inMemoryHashJoin=$inMemoryHashJoin, " +
         s"reloadSpilled=$reloadSpilled, probeFilter=$probeFilter, rule=${config.partitionRule}, frames=$frames, frameSize=$frameSize, " +
-        s"sizes=$minSize..$maxSize, data=${DataNames(data)}, keySpace=$keySpace, build=$buildN, probe=$probeN, seed=$seed, " +
-        s"store=${if (onDisk) "disk" else "heap"})"
+        s"sizes=$minSize..$maxSize, data=${DataNames(data)}, keySpace=$keySpace, build=$buildN, probe=$probeN, seed=$seed)"
   }
 
   val genCase: Gen[Case] = for {
@@ -183,12 +174,9 @@ object DynamicHHJPropertySpec {
       towards(c.minSize, 1).map(s => c.copy(minSize = s))
   }
 
-  /** How many passing cases took each rare path; `disk` counts the cases
-    * that spilled to disk.
-    */
+  /** How many passing cases took each rare path. */
   final class Coverage {
     var cases, reloads, bnlj, reversals, filtered, recursions = 0
-    lazy val disk: Coverage = new Coverage
 
     def note(stats: HHJStats): Unit = {
       cases += 1
@@ -199,24 +187,21 @@ object DynamicHHJPropertySpec {
       if (stats.rounds > 1) recursions += 1
     }
 
-    private def paths: String =
-      s"$reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
+    override def toString: String =
+      s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
         s"$filtered filter probe records, $recursions partition a spilled pair again"
-    override def toString: String = s"$cases cases: $paths; ${disk.cases} on disk: ${disk.paths}"
   }
 
   def check(c: Case, seen: Coverage): Prop = {
     val build = c.build
     val probe = c.probe
-    val dir   = if (c.onDisk) Files.createTempDirectory("hhj-property-spill").toFile else null
-    val store = new LedgerStore(if (c.onDisk) new DiskSpillStore(dir, TestData.intSerde) else new InMemorySpillStore)
+    val dir   = Files.createTempDirectory("hhj-property-spill").toFile
+    val store = new LedgerStore(new DiskSpillStore(dir, TestData.intSerde))
     val out   = Array.newBuilder[Long]
     val stats =
       try DynamicHHJ.join(build.iterator, probe.iterator, c.config, store,
         (b: JoinRec[Integer], p: JoinRec[Integer]) => out += (b.payload.longValue << 32 | p.payload.longValue))
       finally store.close()
-    val left = if (c.onDisk) dir.list().length else 0
-    if (c.onDisk) dir.delete()
     val got = out.result()
     val want = TestData.naiveJoin(build, probe).iterator.map { case (b, p) => b.toLong << 32 | p }.toArray
     java.util.Arrays.sort(got); java.util.Arrays.sort(want)
@@ -242,10 +227,9 @@ object DynamicHHJPropertySpec {
       store.misuse.isEmpty :| s"store misuse: ${store.misuse.mkString("; ")}",
       (store.reloadReads == stats.reloadedPartitions) :|
         s"${stats.reloadedPartitions} reloads counted, ${store.reloadReads} reload reads",
-      (left == 0) :| s"$left files left in the spill dir after close",
+      (!dir.exists) :| s"spill dir $dir left after close",
     )
     seen.note(stats)
-    if (c.onDisk) seen.disk.note(stats)
     ok
   }
 

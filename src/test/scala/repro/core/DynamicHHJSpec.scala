@@ -8,7 +8,7 @@ import repro.core.frames.{JoinRec, PartitionState, SplitFun}
 import repro.core.growth.GrowthPolicy
 import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule}
 import repro.core.insertion._
-import repro.core.spill.{IOStats, InMemorySpillStore, SpillFile, SpillStore}
+import repro.core.spill.{IOStats, SpillFile, SpillStore}
 import repro.core.victim._
 
 class DynamicHHJSpec extends AnyFunSuite {
@@ -18,17 +18,18 @@ class DynamicHHJSpec extends AnyFunSuite {
       build: Seq[JoinRec[Integer]],
       probe: Seq[JoinRec[Integer]],
       cfg: HHJConfig,
-      store: SpillStore[Integer] = new InMemorySpillStore[Integer],
+      store: SpillStore[Integer] = TestData.spillStore(),
   ): (Vector[(Int, Int)], HHJStats) = {
     val out = Vector.newBuilder[(Int, Int)]
-    val stats = DynamicHHJ.join(
-      build.iterator,
-      probe.iterator,
-      cfg,
-      store,
-      (b: JoinRec[Integer], p: JoinRec[Integer]) => out += ((b.payload.intValue, p.payload.intValue)),
-    )
-    store.close()
+    val stats =
+      try DynamicHHJ.join(
+        build.iterator,
+        probe.iterator,
+        cfg,
+        store,
+        (b: JoinRec[Integer], p: JoinRec[Integer]) => out += ((b.payload.intValue, p.payload.intValue)),
+      )
+      finally store.close()
     (out.result(), stats)
   }
 
@@ -36,7 +37,7 @@ class DynamicHHJSpec extends AnyFunSuite {
       build: Seq[JoinRec[Integer]],
       probe: Seq[JoinRec[Integer]],
       cfg: HHJConfig,
-      store: SpillStore[Integer] = new InMemorySpillStore[Integer],
+      store: SpillStore[Integer] = TestData.spillStore(),
   ): (Set[(Int, Int)], HHJStats) = {
     val (pairs, stats) = emitted(build, probe, cfg, store)
     (pairs.toSet, stats)
@@ -283,7 +284,7 @@ class DynamicHHJSpec extends AnyFunSuite {
       reloadSpilled = true,
     )
     val tags  = ArrayBuffer.empty[String]
-    val inner = new InMemorySpillStore[Integer]
+    val inner = TestData.spillStore()
     val store = new SpillStore[Integer] {
       def newFile(tag: String): SpillFile[Integer] = { tags += tag; inner.newFile(tag) }
       def close(): Unit                            = inner.close()
@@ -407,13 +408,7 @@ class DynamicHHJSpec extends AnyFunSuite {
   test("the emit callback sees every pair exactly once (no duplicates)") {
     val b = TestData.records(800, 200, 30, 60, seed = 43)
     val p = TestData.records(800, 200, 30, 60, seed = 44, idBase = 99900)
-    val pairs = ArrayBuffer.empty[(Int, Int)]
-    val store = new InMemorySpillStore[Integer]
-    DynamicHHJ.join(
-      b.iterator, p.iterator, baseCfg(memoryFrames = 10), store,
-      (x: JoinRec[Integer], y: JoinRec[Integer]) => pairs += ((x.payload.intValue, y.payload.intValue)),
-    )
-    store.close()
+    val (pairs, _) = emitted(b, p, baseCfg(memoryFrames = 10))
     assert(pairs.size == pairs.distinct.size, "duplicate emissions detected")
     assert(pairs.toSet == TestData.naiveJoin(b, p))
   }
@@ -424,7 +419,7 @@ class DynamicHHJSpec extends AnyFunSuite {
     * nested loop join of two or more blocks reads a file twice.
     */
   private final class ReadCountingStore extends SpillStore[Integer] {
-    private val inner = new InMemorySpillStore[Integer]
+    private val inner = TestData.spillStore()
     var maxReads      = 0
     def newFile(tag: String): SpillFile[Integer] = new SpillFile[Integer] {
       private val f     = inner.newFile(tag)
@@ -784,9 +779,7 @@ class DynamicHHJSpec extends AnyFunSuite {
           val v   = new RecordingVictim(mk())
           val cfg = baseCfg(memoryFrames = frames)
             .copy(insertion = () => FirstFit, victim = () => v, growth = g, reloadSpilled = reload, probeFilter = false)
-          val store = new InMemorySpillStore[Integer]
-          val stats = DynamicHHJ.join(b.iterator, p.iterator, cfg, store, (_: JoinRec[Integer], _: JoinRec[Integer]) => ())
-          store.close()
+          val (_, stats) = emitted(b, p, cfg)
           if (stats.reloadedPartitions > 0) reloading += 1
           s"$input ${v.name} ${g.name} reload=$reload: ${v.digest}"
         }

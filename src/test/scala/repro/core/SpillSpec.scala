@@ -40,66 +40,54 @@ class SpillSpec extends AnyFunSuite {
     assert(io.readOps == 2 && io.readFrames == 5 && io.bytesRead == 5000)
   }
 
-  // ---------------- In-memory spill store ----------------
-
-  test("in-memory spill file round-trips records and accounting") {
-    val store = new InMemorySpillStore[Integer]
-    val f     = store.newFile("t")
-    f.append(Iterator(JoinRec(1L, 10, Int.box(1)), JoinRec(2L, 20, Int.box(2))), nFrames = 1)
-    f.append(Iterator(JoinRec(3L, 30, Int.box(3))), nFrames = 1)
-    assert(f.records == 3 && f.bytes == 60 && f.frames == 2)
-    assert(f.readAll().map(_.payload.intValue).toSeq == Seq(1, 2, 3))
-    assert(f.readAll().size == 3) // re-readable
-    store.close()
-  }
-
-  test("in-memory spill file delete clears contents") {
-    val f = new InMemorySpillStore[Null].newFile("x")
-    f.append(Iterator(JoinRec(1L, 10, null)), 1)
-    f.delete()
-    assert(f.readAll().isEmpty)
-  }
-
   // ---------------- Disk spill store ----------------
 
-  private def tmpStore[T](serde: Serde[T]): DiskSpillStore[T] =
-    new DiskSpillStore[T](Files.createTempDirectory("spill-test").toFile, serde)
+  /** Runs `body` on a store in a new temp directory, then closes the store
+    * and checks that `close` removed the directory.
+    */
+  private def withStore[T](serde: Serde[T])(body: (File, DiskSpillStore[T]) => Unit): Unit = {
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val store = new DiskSpillStore[T](dir, serde)
+    try body(dir, store)
+    finally store.close()
+    assert(!dir.exists, s"$dir left after close")
+  }
 
   test("disk spill file round-trips metadata records") {
-    val store = tmpStore(Serde.nullSerde)
-    val f     = store.newFile("b")
-    val recs  = (0 until 1000).map(i => JoinRec[Null](i.toLong, 100 + i % 7, null))
-    f.append(recs.iterator, nFrames = 4)
-    assert(f.records == 1000 && f.frames == 4)
-    assert(f.bytes == recs.map(_.size.toLong).sum)
-    val back = f.readAll().toVector
-    assert(back.map(_.key) == recs.map(_.key).toVector)
-    assert(back.map(_.size) == recs.map(_.size).toVector)
-    store.close()
+    withStore(Serde.nullSerde) { (_, store) =>
+      val f    = store.newFile("b")
+      val recs = (0 until 1000).map(i => JoinRec[Null](i.toLong, 100 + i % 7, null))
+      f.append(recs.iterator, nFrames = 4)
+      assert(f.records == 1000 && f.frames == 4)
+      assert(f.bytes == recs.map(_.size.toLong).sum)
+      val back = f.readAll().toVector
+      assert(back.map(_.key) == recs.map(_.key).toVector)
+      assert(back.map(_.size) == recs.map(_.size).toVector)
+    }
   }
 
   test("disk spill file supports multiple appends and re-reads") {
-    val store = tmpStore(Serde.nullSerde)
-    val f     = store.newFile("b")
-    f.append(Iterator(JoinRec[Null](1L, 5, null)), 1)
-    f.append(Iterator(JoinRec[Null](2L, 6, null)), 1)
-    assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
-    assert(f.readAll().map(_.key).toSeq == Seq(1L, 2L))
-    store.close()
+    withStore(TestData.intSerde) { (_, store) =>
+      val f = store.newFile("b")
+      f.append(Iterator(JoinRec(1L, 10, Int.box(1)), JoinRec(2L, 20, Int.box(2))), nFrames = 1)
+      f.append(Iterator(JoinRec(3L, 30, Int.box(3))), nFrames = 1)
+      assert(f.records == 3 && f.bytes == 60 && f.frames == 2)
+      assert(f.readAll().map(r => (r.key, r.size, r.payload.intValue)).toSeq == Seq((1L, 10, 1), (2L, 20, 2), (3L, 30, 3)))
+      assert(f.readAll().map(_.payload.intValue).toSeq == Seq(1, 2, 3))
+    }
   }
 
   test("a disk spill file cut short throws instead of reading fewer records") {
-    val dir   = Files.createTempDirectory("spill-test").toFile
-    val store = new DiskSpillStore[Null](dir, Serde.nullSerde)
-    val f     = store.newFile("b")
-    f.append((0 until 1000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 3)
-    f.readAll() // lets the pending writes land, so the cut is to a fully written file
-    val file = dir.listFiles().head
-    val raf  = new RandomAccessFile(file, "rw")
-    try raf.setLength(file.length - 5)
-    finally raf.close()
-    intercept[EOFException](f.readAll().size)
-    store.close()
+    withStore(Serde.nullSerde) { (dir, store) =>
+      val f = store.newFile("b")
+      f.append((0 until 1000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 3)
+      f.readAll() // lets the pending writes land, so the cut is to a fully written file
+      val file = dir.listFiles().head
+      val raf  = new RandomAccessFile(file, "rw")
+      try raf.setLength(file.length - 5)
+      finally raf.close()
+      intercept[EOFException](f.readAll().size)
+    }
   }
 
   /** Byte-array payloads, so a test controls each record's encoded size. */
@@ -121,15 +109,15 @@ class SpillSpec extends AnyFunSuite {
   }
 
   test("payloads larger than the staging buffer round-trip among small ones") {
-    val store = tmpStore(bytesSerde)
-    val f     = store.newFile("b")
-    val mixed = (0 until 7).map(i => byteRec(i, if (i % 2 == 0) 200 * 1024 else 10))
-    f.append(mixed.iterator, nFrames = 7)
-    val small = (7 until 500).map(byteRec(_, 10))
-    f.append(small.take(3).iterator, nFrames = 1)
-    f.append(small.drop(3).iterator, nFrames = 5)
-    assertSameRecs(f.readAll().toVector, mixed ++ small)
-    store.close()
+    withStore(bytesSerde) { (_, store) =>
+      val f     = store.newFile("b")
+      val mixed = (0 until 7).map(i => byteRec(i, if (i % 2 == 0) 200 * 1024 else 10))
+      f.append(mixed.iterator, nFrames = 7)
+      val small = (7 until 500).map(byteRec(_, 10))
+      f.append(small.take(3).iterator, nFrames = 1)
+      f.append(small.drop(3).iterator, nFrames = 5)
+      assertSameRecs(f.readAll().toVector, mixed ++ small)
+    }
   }
 
   /** The entries' bytes as a disk spill file holds them. */
@@ -140,48 +128,47 @@ class SpillSpec extends AnyFunSuite {
   }
 
   test("write-behind: a file is at most two buffers short, exact after a readAll") {
-    val dir   = Files.createTempDirectory("spill-test").toFile
-    val store = new DiskSpillStore[Array[Byte]](dir, bytesSerde)
-    val f     = store.newFile("b")
-    val g     = store.newFile("p") // shares the staging buffers with `f`
-    val file  = new File(dir, "00001-b.spill")
-    val sizes = Seq(Seq(10), Seq(10, 10, 10), Seq(70 * 1024), Seq(5000) ++ Seq.fill(40)(10), Seq(200 * 1024, 10),
-      Seq.fill(30)(3000), Seq(40 * 1024), Seq(40 * 1024), Seq(60 * 1024))
-    var all   = Vector.empty[JoinRec[Array[Byte]]]
-    for ((ns, i) <- sizes.zipWithIndex) {
-      val recs = ns.zipWithIndex.map { case (n, j) => byteRec(i * 100 + j, n) }
-      f.append(recs.iterator, nFrames = 1)
-      g.append(Iterator(byteRec(i, 10)), nFrames = 1)
-      all ++= recs
-      val short = encoded(all) - file.length
-      assert(short >= 0 && short <= 2L * DiskSpillStore.BufferBytes, s"after append $i: $short bytes short")
-      if (i % 2 == 1) {
-        assertSameRecs(f.readAll().toVector, all)
-        assert(file.length == encoded(all), s"after append $i")
-        assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)), s"after append $i")
+    withStore(bytesSerde) { (dir, store) =>
+      val f     = store.newFile("b")
+      val g     = store.newFile("p") // shares the staging buffers with `f`
+      val file  = new File(dir, "00001-b.spill")
+      val sizes = Seq(Seq(10), Seq(10, 10, 10), Seq(70 * 1024), Seq(5000) ++ Seq.fill(40)(10), Seq(200 * 1024, 10),
+        Seq.fill(30)(3000), Seq(40 * 1024), Seq(40 * 1024), Seq(60 * 1024))
+      var all   = Vector.empty[JoinRec[Array[Byte]]]
+      for ((ns, i) <- sizes.zipWithIndex) {
+        val recs = ns.zipWithIndex.map { case (n, j) => byteRec(i * 100 + j, n) }
+        f.append(recs.iterator, nFrames = 1)
+        g.append(Iterator(byteRec(i, 10)), nFrames = 1)
+        all ++= recs
+        val short = encoded(all) - file.length
+        assert(short >= 0 && short <= 2L * DiskSpillStore.BufferBytes, s"after append $i: $short bytes short")
+        if (i % 2 == 1) {
+          assertSameRecs(f.readAll().toVector, all)
+          assert(file.length == encoded(all), s"after append $i")
+          assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)), s"after append $i")
+        }
       }
+      assertSameRecs(f.readAll().toVector, all)
+      assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)))
     }
-    assertSameRecs(f.readAll().toVector, all)
-    assert(Files.readAllBytes(file.toPath).sameElements(encodedBytes(all)))
-    store.close()
   }
 
   test("two iterators on one file, advanced alternately, each read every record in order") {
-    val store = tmpStore(Serde.nullSerde)
-    val f     = store.newFile("b")
-    // 20,000 entries of 16 bytes span several 64 KB reads.
-    f.append((0 until 20000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 8)
-    val (a, b) = (f.readAll(), f.readAll())
-    val seenA  = Vector.newBuilder[Long]
-    val seenB  = Vector.newBuilder[Long]
-    seenA += a.next().key
-    while (a.hasNext || b.hasNext) {
-      if (b.hasNext) seenB += b.next().key
-      if (a.hasNext) seenA += a.next().key
+    withStore(Serde.nullSerde) { (_, store) =>
+      val f = store.newFile("b")
+      // 20,000 entries of 16 bytes span several 64 KB reads.
+      f.append((0 until 20000).iterator.map(i => JoinRec[Null](i.toLong, 12, null)), nFrames = 8)
+      val (a, b) = (f.readAll(), f.readAll())
+      val seenA  = Vector.newBuilder[Long]
+      val seenB  = Vector.newBuilder[Long]
+      seenA += a.next().key
+      while (a.hasNext || b.hasNext) {
+        if (b.hasNext) seenB += b.next().key
+        if (a.hasNext) seenA += a.next().key
+      }
+      assert(seenA.result() == (0L until 20000L) && seenB.result() == (0L until 20000L))
+      intercept[NoSuchElementException](a.next())
     }
-    assert(seenA.result() == (0L until 20000L) && seenB.result() == (0L until 20000L))
-    intercept[NoSuchElementException](a.next())
-    store.close()
   }
 
   test("a spill file whose name is already on disk fails instead of appending to stale bytes") {
@@ -193,12 +180,26 @@ class SpillSpec extends AnyFunSuite {
     intercept[FileAlreadyExistsException](f.append(Iterator(JoinRec[Null](1L, 5, null)), 1))
     store.close()
     assert(Files.readAllBytes(stale.toPath).toSeq == Seq[Byte](1, 2, 3), "a file the store did not create is left alone")
+    assert(stale.delete() && dir.delete())
+  }
+
+  test("close removes an empty store directory, but not one holding a file the store did not create") {
+    withStore(Serde.nullSerde) { (_, store) =>
+      store.newFile("b").append(Iterator(JoinRec[Null](1L, 5, null)), 1)
+      store.newFile("p") // never written, so never created
+    }
+    val dir   = Files.createTempDirectory("spill-test").toFile
+    val other = new File(dir, "other")
+    Files.write(other.toPath, Array[Byte](7))
+    val store = new DiskSpillStore[Null](dir, Serde.nullSerde)
+    store.newFile("b").append(Iterator(JoinRec[Null](1L, 5, null)), 1)
+    store.close()
+    assert(dir.list().toSeq == Seq("other") && Files.readAllBytes(other.toPath).toSeq == Seq[Byte](7))
+    assert(other.delete() && dir.delete())
   }
 
   test("empty disk spill file reads as empty") {
-    val store = tmpStore(Serde.nullSerde)
-    assert(store.newFile("e").readAll().isEmpty)
-    store.close()
+    withStore(Serde.nullSerde)((_, store) => assert(store.newFile("e").readAll().isEmpty))
   }
 
   // ---------------- The disk store's writer thread ----------------
@@ -215,7 +216,7 @@ class SpillSpec extends AnyFunSuite {
     for (i <- 0 until 20) { f.append(Iterator(byteRec(i, 1000)), 1); g.append(Iterator(byteRec(i, 1000)), 1) }
     assert(writers(dir).isEmpty)
     store.close()
-    assert(writers(dir).isEmpty && dir.list().isEmpty)
+    assert(writers(dir).isEmpty && !dir.exists)
   }
 
   test("close leaves no writer thread alive, also after a join that threw mid-way") {
@@ -242,7 +243,7 @@ class SpillSpec extends AnyFunSuite {
       // Checked at once: `close` returns only after the writer has ended.
       assert(live.size == 1 && !live.head.isAlive, s"throwAt=$throwAt: writers seen before close $live")
       assert(threw == (throwAt > 0))
-      assert(writers(dir).isEmpty && dir.list().isEmpty, s"throwAt=$throwAt")
+      assert(writers(dir).isEmpty && !dir.exists, s"throwAt=$throwAt")
     }
   }
 
@@ -274,7 +275,7 @@ class SpillSpec extends AnyFunSuite {
       val (dir, store, f) = failedStore()
       if (name != "close") intercept[IOException](op(f))
       intercept[IOException](store.close())
-      assert(dir.list().isEmpty, s"after $name")
+      assert(!dir.exists, s"after $name")
       assert(writers(dir).isEmpty, s"after $name")
     }
   }
@@ -296,7 +297,7 @@ class SpillSpec extends AnyFunSuite {
       val appends = Future(intercept[IOException](for (_ <- 0 until 8192) f.append(Iterator(rec), 1)))
       Await.result(interrupt.zip(appends), 60.seconds)
       intercept[IOException](store.close())
-      assert(dir.list().isEmpty && writers(dir).isEmpty, s"round $round")
+      assert(!dir.exists && writers(dir).isEmpty, s"round $round")
     }
   }
 

@@ -1,9 +1,10 @@
 package repro.core
 
 import java.nio.ByteBuffer
+import java.nio.file.Files
 
 import repro.core.frames.JoinRec
-import repro.core.spill.Serde
+import repro.core.spill.{DiskSpillStore, Serde}
 
 /** Shared helpers for core-engine tests: deterministic record generators
   * with unique integer payload ids, and a naive reference join.
@@ -62,4 +63,10 @@ object TestData {
     def write(t: Integer, out: ByteBuffer): Unit  = out.putInt(t.intValue): Unit
     def read(in: ByteBuffer, bytes: Int): Integer = Int.box(in.getInt())
   }
+
+  /** A disk spill store of `Integer` payloads in a new temp directory, which
+    * its `close` removes.
+    */
+  def spillStore(): DiskSpillStore[Integer] =
+    new DiskSpillStore(Files.createTempDirectory("spill-test").toFile, intSerde)
 }

@@ -142,6 +142,16 @@ class HHJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(exchanges == Seq(4, 4), s"expected two 4-partition exchanges:\n$plan")
   }
 
+  test("HHJoin.join rejects a negative partition count; 0 keeps the session default") {
+    val a = SynthData.uniformKeys(spark, rows = 200, nKeys = 50, seed = 7)
+    val b = SynthData.uniformKeys(spark, rows = 100, nKeys = 50, seed = 8).selectExpr("k AS bk", "v AS bv")
+    val e = intercept[IllegalArgumentException](HHJoin.join(a, b, Seq("k"), Seq("bk"), amplecfg, numPartitions = -1))
+    assert(e.getMessage.contains("-1"))
+    val plan = HHJoin.join(a, b, Seq("k"), Seq("bk"), amplecfg).queryExecution.executedPlan
+    val reqs = collect(plan) { case exec: DynamicHHJExec => exec.requiredNumPartitions }
+    assert(reqs == Seq(None), s"expected one DynamicHHJExec with no partition count of its own:\n$plan")
+  }
+
   test("null join keys never match (inner-join semantics, as in DuckDB)") {
     val a = SynthData.uniformKeys(spark, rows = 4000, nKeys = 200, seed = 7)
       .selectExpr("CASE WHEN k % 10 = 0 THEN NULL ELSE k END AS k", "v")
