@@ -1,5 +1,6 @@
 package repro.core.hhj
 
+import scala.collection.BufferedIterator
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.frames.{Frame, FramePool, JoinRec, PartitionState, SplitFun}
@@ -70,60 +71,39 @@ object DynamicHHJ {
   /** Probe records handed to `HashTable.probeBatch` at a time. */
   private val ProbeBatch = 32
 
-  /** Build records chained by their 64-bit key over flat arrays: record
-    * refs and keys in insertion order, a power-of-two bucket-head array
-    * indexed by a multiplicative hash of the key, and one `next` link per
-    * record. Fill with `add` or `addFrame`, `seal` once, then `probeBatch`;
-    * `clear` empties it for refilling and keeps the arrays. Links are
-    * 1-based so that 0, a fresh array's value, ends a chain.
+  /** Build records chained by their 64-bit key over flat arrays, built
+    * once from `frames`: record refs and keys copied from each frame's
+    * directory in frame order (no record is read), a power-of-two
+    * bucket-head array indexed by a multiplicative hash of the key, and one
+    * `next` link per record. Links are 1-based so that 0, a fresh array's
+    * value, ends a chain.
     */
-  private final class HashTable[T](capacity: Int) {
-    private var recs       = new Array[AnyRef](math.max(capacity, 1))
-    private var keys       = new Array[Long](recs.length)
-    private var next       = new Array[Int](recs.length)
-    private var heads      = new Array[Int](2)
-    private var shift      = 63
-    private var n          = 0
+  private final class HashTable[T](frames: Iterable[Frame[T]]) {
+    private val total = frames.iterator.map(_.recordCount.toLong).sum
+    require(total <= Int.MaxValue - 8, s"hash table cannot hold more than ${Int.MaxValue - 8} records")
+    private val n    = total.toInt
+    private val recs = new Array[AnyRef](n)
+    private val keys = new Array[Long](n)
+    private val next = new Array[Int](n)
+    private val heads = {
+      var buckets = 2
+      while (buckets < n && buckets < (1 << 30)) buckets <<= 1
+      new Array[Int](buckets)
+    }
+    private val shift      = 64 - Integer.numberOfTrailingZeros(heads.length)
     private val batchHeads = new Array[Int](ProbeBatch)
-
-    /** Grow the arrays, doubling at least, until `m` more records fit. */
-    private def reserve(m: Int): Unit =
-      if (n.toLong + m > recs.length) {
-        val len = math.min(math.max(2L * recs.length, n.toLong + m), Int.MaxValue - 8L).toInt
-        require(len >= n.toLong + m, s"hash table cannot hold more than $len records")
-        recs = java.util.Arrays.copyOf(recs, len)
-        keys = java.util.Arrays.copyOf(keys, len)
-        next = new Array[Int](len)
-      }
-
-    def add(r: JoinRec[T]): Unit = {
-      reserve(1)
-      recs(n) = r
-      keys(n) = r.key
-      n += 1
-    }
-
-    /** Adds a frame's records in frame order by copying its directory; no
-      * record is read.
-      */
-    def addFrame(f: Frame[T]): Unit = {
-      val m = f.recordCount
-      reserve(m)
-      System.arraycopy(f.refArray, 0, recs, n, m)
-      System.arraycopy(f.keyArray, 0, keys, n, m)
-      n += m
-    }
 
     private def bucket(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
 
-    /** Chains every added record. Records are linked last to first, so a
-      * chain — and so each key's matches — runs in insertion order.
-      */
-    def seal(): Unit = {
-      var buckets = 2
-      while (buckets < n && buckets < (1 << 30)) buckets <<= 1
-      if (heads.length == buckets) java.util.Arrays.fill(heads, 0) else heads = new Array[Int](buckets)
-      shift = 64 - Integer.numberOfTrailingZeros(buckets)
+    // Records are linked last to first, so a chain — and so each key's
+    // matches — runs in frame order.
+    locally {
+      var at = 0
+      frames.foreach { f =>
+        System.arraycopy(f.refArray, 0, recs, at, f.recordCount)
+        System.arraycopy(f.keyArray, 0, keys, at, f.recordCount)
+        at += f.recordCount
+      }
       var i = n - 1
       while (i >= 0) {
         val h = bucket(keys(i))
@@ -133,13 +113,11 @@ object DynamicHHJ {
       }
     }
 
-    def clear(): Unit = n = 0
-
     /** Emits `(buildRec, r)` for each of the first `count` probe records
       * `r` of `rs` and every build record with `r`'s key: probe records in
-      * their order, each one's matches in the order they were added. All
-      * bucket heads are loaded before any chain is walked, so the batch's
-      * cache misses on the head array overlap instead of queueing.
+      * their order, each one's matches in frame order. All bucket heads
+      * are loaded before any chain is walked, so the batch's cache misses
+      * on the head array overlap instead of queueing.
       */
     def probeBatch(rs: Array[JoinRec[T]], count: Int, stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
       var b = 0
@@ -178,7 +156,7 @@ object DynamicHHJ {
 
     private def bit(key: Long): Long = ((key ^ mix) * 0xFF51AFD7ED558CCDL) >>> (64 - logBits)
 
-    def add(keys: Array[Long], n: Int): Unit = {
+    def addKeys(keys: Array[Long], n: Int): Unit = {
       var i = 0
       while (i < n) { val b = bit(keys(i)); words((b >>> 6).toInt) |= 1L << b; i += 1 }
     }
@@ -201,41 +179,50 @@ object DynamicHHJ {
     f.readAll()
   }
 
-  /** Joins a file pair by loading the build side `blockBytes` (declared
-    * bytes) at a time into a hash table and re-scanning the probe side once
-    * per block: §8.3's in-memory join is one unbounded block, §8.1's block
-    * nested loop join uses blocks of M-1 frames. The table is sized for the
-    * build file's average record size and reused across blocks.
+  /** Moves records of `it` into `p`'s frames in file order: a record goes
+    * into the last frame if it fits, else into a new frame from `pool`.
+    * Stops before the first record that needs a frame the pool lacks.
+    * Every `flush` wrote whole frames in order, so a spill file is a run of
+    * groups that each fit in one frame, and each new frame starts at or
+    * after the start of the next group: refilling a whole file never takes
+    * more than the file's frame count.
+    */
+  private def refill[T](p: PartitionState[T], it: BufferedIterator[JoinRec[T]], pool: FramePool): Unit =
+    while (it.hasNext && ((p.frames.nonEmpty && p.frames.last.free >= it.head.size) || p.takeFrame(pool)))
+      p.insertInto(p.frames.size - 1, it.next())
+
+  /** Joins a file pair a block at a time: `refill` loads the build side
+    * into M-1 frames, a hash table is built on them, and the probe side is
+    * re-scanned once per block. §8.3's in-memory join and §8.1's block
+    * nested loop join are both this call; a §8.3 build file that passed
+    * the byte test but needs more than M-1 frames joins in two or more
+    * blocks.
     */
   private def blockJoin[T](
       b: SpillFile[T],
       p: SpillFile[T],
-      blockBytes: Long,
+      cfg: HHJConfig,
       stats: HHJStats,
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): Unit = {
-    val bIt      = readBack(b, stats)
-    val perBlock = if (blockBytes >= b.bytes) b.records else math.ceil(b.records.toDouble * blockBytes / b.bytes).toLong
-    val table    = new HashTable[T](math.min(perBlock, Int.MaxValue - 8L).toInt)
-    val batch    = new Array[JoinRec[T]](ProbeBatch)
+    val pool  = new FramePool(cfg.memoryFrames - 1)
+    val block = new PartitionState[T](0, cfg.frameSize)
+    val bIt   = readBack(b, stats).buffered
+    val batch = new Array[JoinRec[T]](ProbeBatch)
     while (bIt.hasNext) {
-      table.clear()
-      var load = 0L
-      while (bIt.hasNext && load < blockBytes) {
-        val r = bIt.next()
-        stats.buildRecordsProcessed += 1
-        load += r.size
-        table.add(r)
-      }
-      table.seal()
-      val pIt = readBack(p, stats)
+      refill(block, bIt, pool)
+      stats.buildRecordsProcessed += block.recordsInMemory
+      val table = new HashTable(block.frames)
+      val pIt   = readBack(p, stats)
       while (pIt.hasNext) {
         var m = 0
         while (m < ProbeBatch && pIt.hasNext) { batch(m) = pIt.next(); m += 1 }
         stats.probeRecordsProcessed += m
         table.probeBatch(batch, m, stats, emit)
       }
+      block.releaseFrames(pool)
     }
+    stats.peakFrames = math.max(stats.peakFrames, pool.peak)
   }
 
   // ------------------------------------------------------------------
@@ -262,17 +249,16 @@ object DynamicHHJ {
     val em      = if (reverse) (x: JoinRec[T], y: JoinRec[T]) => emit(y, x) else emit
     if (reverse) stats.roleReversals += 1
 
-    val memoryBytes = cfg.memoryFrames.toLong * cfg.frameSize
-    var pairs       = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
-    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= memoryBytes) {
+    var pairs = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
+    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= cfg.memoryFrames.toLong * cfg.frameSize) {
       // §8.3: skip partitioning, hash-join directly in memory.
       stats.inMemoryRounds += 1
-      blockJoin(b, p, Long.MaxValue, stats, em)
+      blockJoin(b, p, cfg, stats, em)
     } else if (depth >= MaxDepth || b.bytes > (1.0 - BailOutShrinkage) * parentBuildBytes) {
       // §8.1 bail-out: hashing is not shrinking the input — the join
       // attribute is pathologically skewed. Fall back to BNLJ.
       stats.bnljRounds += 1
-      blockJoin(b, p, (cfg.memoryFrames - 1).toLong * cfg.frameSize, stats, em)
+      blockJoin(b, p, cfg, stats, em)
     } else {
       val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize)
       pairs = runRound(readBack(b, stats), readBack(p, stats), numP, depth, Some(b.bytes), cfg, store, stats, em)
@@ -335,7 +321,7 @@ object DynamicHHJ {
       if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
       if (build && cfg.probeFilter) {
         if (filter == null) filter = new KeyFilter(cfg.memoryFrames.toLong * cfg.frameSize, seed)
-        p.frames.foreach(f => filter.add(f.keyArray, f.recordCount))
+        p.frames.foreach(f => filter.addKeys(f.keyArray, f.recordCount))
       }
       files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
       stats.io.noteWrite(n, bytes)
@@ -437,25 +423,18 @@ object DynamicHHJ {
 
     // §8.5: reload spilled build partitions into leftover memory, largest
     // build file first (ties go to the lowest id), leaving one probe output
-    // buffer per partition that stays spilled. The file is refilled into
-    // frames in file order: a record goes into the last frame if it fits,
-    // else into a new one. Every `flush` wrote whole frames in order, so the
-    // file is a run of groups that each fit in one frame, and each new frame
-    // starts at or after the start of the next group: the refill takes at
-    // most the file's frame count, which is what the pass tests. One pass
-    // decides: a reload takes at least one frame (spilled partitions hold
-    // none after the drain) and leaves one fewer partition spilled, so the
-    // room never grows, and a partition that did not fit on its turn never
-    // fits later.
+    // buffer per partition that stays spilled. `refill` takes at most the
+    // file's frame count, which is what the pass tests. One pass decides: a
+    // reload takes at least one frame (spilled partitions hold none after
+    // the drain) and leaves one fewer partition spilled, so the room never
+    // grows, and a partition that did not fit on its turn never fits later.
     if (cfg.reloadSpilled)
       for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
            if buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
-        val f = buildFiles(p.id)
-        readBack(f, stats).foreach { r =>
-          if (p.frames.isEmpty || p.frames.last.free < r.size)
-            require(p.takeFrame(pool), s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
-          p.insertInto(p.frames.size - 1, r)
-        }
+        val f  = buildFiles(p.id)
+        val it = readBack(f, stats).buffered
+        refill(p, it, pool)
+        require(!it.hasNext, s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
         f.delete(); buildFiles(p.id) = null
         stats.reloadedPartitions += 1
       }
@@ -466,10 +445,7 @@ object DynamicHHJ {
     while (pool.available < numSpilled) makeRoom(incoming = -1)
 
     // ---------------- Hash table over resident partitions ----------------
-    val resident = parts.filterNot(spilled)
-    val table    = new HashTable[T](resident.iterator.map(_.recordsInMemory).sum.toInt)
-    resident.foreach(_.frames.foreach(table.addFrame))
-    table.seal()
+    val table = new HashTable(parts.filterNot(spilled).flatMap(_.frames))
 
     // ---------------- Probe phase ----------------
     // Resident-partition records are probed in batches, in probe order;

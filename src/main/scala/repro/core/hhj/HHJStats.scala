@@ -44,8 +44,8 @@ final class HHJStats {
     * dropped (see [[HHJConfig.probeFilter]]); also counted as processed.
     */
   var probeFiltered = 0L
-  /** Most frames in use at once in any partitioned round: never above
-    * `HHJConfig.memoryFrames`.
+  /** Most frames in use at once in any round, block joins included: never
+    * above `HHJConfig.memoryFrames`.
     */
   var peakFrames = 0
 

@@ -37,8 +37,8 @@ class DynamicHHJPropertySpec extends AnyFunSuite {
     val result = Test.check(params, prop)
     assert(result.passed, "\n" + Pretty.pretty(result, Pretty.Params(2)))
     info(s"$seen")
-    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0 && seen.recursions > 0,
-      s"generator missed a path: $seen")
+    assert(seen.reloads > 0 && seen.bnlj > 0 && seen.reversals > 0 && seen.filtered > 0 && seen.recursions > 0 &&
+      seen.blocks > 0 && seen.splitInMemory > 0, s"generator missed a path: $seen")
   }
 }
 
@@ -174,22 +174,30 @@ object DynamicHHJPropertySpec {
       towards(c.minSize, 1).map(s => c.copy(minSize = s))
   }
 
-  /** How many passing cases took each rare path. */
+  /** How many passing cases took each rare path. A file read two or more
+    * times is a block join of more than one block; with no §8.1 round, it
+    * is a §8.3 round that split.
+    */
   final class Coverage {
-    var cases, reloads, bnlj, reversals, filtered, recursions = 0
+    var cases, reloads, bnlj, reversals, filtered, recursions, blocks, splitInMemory = 0
 
-    def note(stats: HHJStats): Unit = {
+    def note(stats: HHJStats, store: LedgerStore): Unit = {
       cases += 1
       if (stats.reloadedPartitions > 0) reloads += 1
       if (stats.bnljRounds > 0) bnlj += 1
       if (stats.roleReversals > 0) reversals += 1
       if (stats.probeFiltered > 0) filtered += 1
       if (stats.rounds > 1) recursions += 1
+      if (store.files.exists(_.readCount >= 2)) {
+        blocks += 1
+        if (stats.inMemoryRounds > 0 && stats.bnljRounds == 0) splitInMemory += 1
+      }
     }
 
     override def toString: String =
       s"$cases cases: $reloads reload a partition, $bnlj bail out to BNLJ, $reversals reverse roles, " +
-        s"$filtered filter probe records, $recursions partition a spilled pair again"
+        s"$filtered filter probe records, $recursions partition a spilled pair again, " +
+        s"$blocks run a block join of two or more blocks, $splitInMemory of them a §8.3 round that split"
   }
 
   def check(c: Case, seen: Coverage): Prop = {
@@ -212,6 +220,8 @@ object DynamicHHJPropertySpec {
       (stats.buildRecordsProcessed >= build.size) :| s"buildRecordsProcessed=${stats.buildRecordsProcessed}",
       (stats.probeRecordsProcessed >= probe.size) :| s"probeRecordsProcessed=${stats.probeRecordsProcessed}",
       (c.probeFilter || stats.probeFiltered == 0) :| s"probeFiltered=${stats.probeFiltered} with the filter off",
+      // Every round, block joins included, takes its frames from a pool of
+      // at most M.
       (stats.peakFrames <= c.frames) :| s"peakFrames=${stats.peakFrames} > memoryFrames=${c.frames}",
       // Not `==`: a probe-buffer reservation can spill a victim after the
       // round-1 sample, and its bytes count both as resident and as spilled.
@@ -229,7 +239,7 @@ object DynamicHHJPropertySpec {
         s"${stats.reloadedPartitions} reloads counted, ${store.reloadReads} reload reads",
       (!dir.exists) :| s"spill dir $dir left after close",
     )
-    seen.note(stats)
+    seen.note(stats, store)
     ok
   }
 
@@ -253,7 +263,8 @@ object DynamicHHJPropertySpec {
     def close(): Unit = inner.close()
 
     final class LedgerFile(tag: String, f: SpillFile[Integer]) extends SpillFile[Integer] {
-      var deleted = false
+      var deleted   = false
+      var readCount = 0
 
       def append(recs: Iterator[JoinRec[Integer]], nFrames: Long): Unit = {
         if (deleted) misuse += s"append to deleted $tag"
@@ -265,7 +276,7 @@ object DynamicHHJPropertySpec {
       }
       def readAll(): Iterator[JoinRec[Integer]] = {
         if (deleted) misuse += s"read of deleted $tag"
-        reads += 1; readBytes += f.bytes; readFrames += f.frames
+        reads += 1; readBytes += f.bytes; readFrames += f.frames; readCount += 1
         lastRead = this
         f.readAll()
       }

@@ -205,6 +205,20 @@ class DynamicHHJSpec extends AnyFunSuite {
     assert(stats.maxDepthReached < 6, "recursion should stop early")
   }
 
+  test("§8.1 bail-out: a block is M-1 frames, so one-record frames take ceil(30/7) = 5 probe scans") {
+    // 600 B records in 1 KB frames: one record per frame, so a block of
+    // M - 1 = 7 frames holds 7 records, where 7 KB of declared bytes would
+    // hold 12.
+    val hotB  = Vector.tabulate(30)(i => JoinRec[Integer](42L, 600, Int.box(i)))
+    val hotP  = Vector.tabulate(30)(i => JoinRec[Integer](42L, 600, Int.box(100000 + i)))
+    val store = new ReadCountingStore
+    val (got, stats) = runJoin(hotB, hotP, baseCfg(memoryFrames = 8, partitions = 3).copy(roleReversal = false), store)
+    assert(got == TestData.naiveJoin(hotB, hotP))
+    assert(stats.rounds == 1 && stats.bnljRounds == 1 && stats.inMemoryRounds == 0, counters(stats))
+    assert(store.maxReads == 5, "the probe file is scanned once per block")
+    assert(stats.peakFrames <= 8)
+  }
+
   test("§8.2 role reversal: build side larger than probe side gets swapped in later rounds") {
     val big   = TestData.records(4000, 900, 30, 60, seed = 25)
     val small = TestData.records(800, 900, 30, 60, seed = 26, idBase = 90000)
@@ -228,6 +242,20 @@ class DynamicHHJSpec extends AnyFunSuite {
     val (got, stats) = runJoin(b, p, baseCfg(memoryFrames = 16))
     assert(got == TestData.naiveJoin(b, p))
     assert(stats.inMemoryRounds > 0, "spilled partitions should fit in memory next round")
+  }
+
+  test("§8.3: a build file that passes the byte test but needs more than M-1 frames joins in blocks inside M frames") {
+    // Nine 600 B records: 5,400 B x MemFudge = 7,560 B fits 8 KB of join
+    // memory, but one record per 1 KB frame needs 9 frames, and a block
+    // has M - 1 = 7.
+    val b     = Vector.tabulate(9)(i => JoinRec[Integer](7L, 600, Int.box(i)))
+    val p     = Vector.tabulate(12)(i => JoinRec[Integer](7L + i % 2, 600, Int.box(100000 + i)))
+    val store = new ReadCountingStore
+    val (got, stats) = runJoin(b, p, baseCfg(memoryFrames = 8, partitions = 3).copy(roleReversal = false), store)
+    assert(got == TestData.naiveJoin(b, p))
+    assert(stats.inMemoryRounds == 1 && stats.bnljRounds == 0, counters(stats))
+    assert(store.maxReads >= 2, "expected a §8.3 join of two or more blocks")
+    assert(stats.peakFrames <= 8, s"peakFrames=${stats.peakFrames}")
   }
 
   test("§8.3 disabled: later rounds run the partitioned path") {
@@ -415,8 +443,8 @@ class DynamicHHJSpec extends AnyFunSuite {
 
   // ---------------- Hash table edge cases ----------------
 
-  /** Counts how often each spill file is read back: only a §8.1 block
-    * nested loop join of two or more blocks reads a file twice.
+  /** Counts how often each spill file is read back: only a block join
+    * (§8.1 or §8.3) of two or more blocks reads a file twice.
     */
   private final class ReadCountingStore extends SpillStore[Integer] {
     private val inner = TestData.spillStore()
@@ -597,7 +625,7 @@ class DynamicHHJSpec extends AnyFunSuite {
   private val goldenEmitOrder = Seq(
     "resident: 5579/9924fdb34590c9e0",
     "§8.2+§8.3: 3603/72e4a76085be658d",
-    "§8.1: 361823/b7d001380c060caf",
+    "§8.1: 361823/1a64943153506e6f",
     "§8.5: 5579/e510b4e875e8b7a0",
   )
 
