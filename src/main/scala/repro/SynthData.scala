@@ -69,7 +69,7 @@ object SynthData {
                alpha: Double = 1.1, seed: Long = 3): DataFrame = {
     import spark.implicits._
     // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
-    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
+    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
     spark.range(rows).select(
       least(lit(nKeys),
             greatest(lit(1L),

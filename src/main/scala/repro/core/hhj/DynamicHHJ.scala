@@ -57,18 +57,18 @@ object DynamicHHJ {
       store: SpillStore[T],
       emit: (JoinRec[T], JoinRec[T]) => Unit,
   ): HHJStats = {
-    val stats = new HHJStats
-    val pairs = runRound(build, probe, cfg.partitionRule.firstRound, depth = 0, None, cfg, store, stats, emit)
-    stats.round1BuildSpillBytes = stats.buildIo.bytesWritten
-    pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth = 1, cfg, store, stats, emit) }
-    stats
+    val j     = new Join(cfg, store)
+    val pairs = j.runRound(build, probe, depth = 0, None, emit)
+    j.stats.round1BuildSpillBytes = j.stats.buildIo.bytesWritten
+    pairs.foreach { case (bf, pf, bytes) => j.processPair(bf, pf, bytes, depth = 1, emit) }
+    j.stats
   }
 
   // ------------------------------------------------------------------
-  // Hash table and the block join over a spilled file pair
+  // Hash table, probe filter and refill
   // ------------------------------------------------------------------
 
-  /** Probe records handed to `HashTable.probeBatch` at a time. */
+  /** Probe records a `HashTable` queues before it probes them. */
   private val ProbeBatch = 32
 
   /** Build records chained by their 64-bit key over flat arrays, built
@@ -76,9 +76,11 @@ object DynamicHHJ {
     * directory in frame order (no record is read), a power-of-two
     * bucket-head array indexed by a multiplicative hash of the key, and one
     * `next` link per record. Links are 1-based so that 0, a fresh array's
-    * value, ends a chain.
+    * value, ends a chain. Matches are counted in `stats` and passed to
+    * `emit`.
     */
-  private final class HashTable[T](frames: Iterable[Frame[T]]) {
+  private final class HashTable[T](frames: Iterable[Frame[T]], stats: HHJStats,
+                                   emit: (JoinRec[T], JoinRec[T]) => Unit) {
     private val total = frames.iterator.map(_.recordCount.toLong).sum
     require(total <= Int.MaxValue - 8, s"hash table cannot hold more than ${Int.MaxValue - 8} records")
     private val n    = total.toInt
@@ -91,7 +93,9 @@ object DynamicHHJ {
       new Array[Int](buckets)
     }
     private val shift      = 64 - Integer.numberOfTrailingZeros(heads.length)
+    private val batch      = new Array[JoinRec[T]](ProbeBatch)
     private val batchHeads = new Array[Int](ProbeBatch)
+    private var batched    = 0
 
     private def bucket(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> shift).toInt
 
@@ -113,18 +117,27 @@ object DynamicHHJ {
       }
     }
 
-    /** Emits `(buildRec, r)` for each of the first `count` probe records
-      * `r` of `rs` and every build record with `r`'s key: probe records in
-      * their order, each one's matches in frame order. All bucket heads
+    /** Queues probe record `r`, and probes the queue once it holds
+      * `ProbeBatch` records.
+      */
+    def probe(r: JoinRec[T]): Unit = {
+      batch(batched) = r
+      batched += 1
+      if (batched == ProbeBatch) probePending()
+    }
+
+    /** Probes every queued record `r` and empties the queue: emits
+      * `(buildRec, r)` for every build record with `r`'s key, probe records
+      * in their order, each one's matches in frame order. All bucket heads
       * are loaded before any chain is walked, so the batch's cache misses
       * on the head array overlap instead of queueing.
       */
-    def probeBatch(rs: Array[JoinRec[T]], count: Int, stats: HHJStats, emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
+    def probePending(): Unit = {
       var b = 0
-      while (b < count) { batchHeads(b) = heads(bucket(rs(b).key)); b += 1 }
+      while (b < batched) { batchHeads(b) = heads(bucket(batch(b).key)); b += 1 }
       b = 0
-      while (b < count) {
-        val r = rs(b)
+      while (b < batched) {
+        val r = batch(b)
         val k = r.key
         var j = batchHeads(b)
         while (j != 0) {
@@ -134,6 +147,7 @@ object DynamicHHJ {
         }
         b += 1
       }
+      batched = 0
     }
   }
 
@@ -173,12 +187,6 @@ object DynamicHHJ {
     }
   }
 
-  /** Streams a spill file back and notes the read: every spill read. */
-  private def readBack[T](f: SpillFile[T], stats: HHJStats): Iterator[JoinRec[T]] = {
-    stats.io.noteRead(f.frames, f.bytes)
-    f.readAll()
-  }
-
   /** Moves records of `it` into `p`'s frames in file order: a record goes
     * into the last frame if it fits, else into a new frame from `pool`.
     * Stops before the first record that needs a frame the pool lacks.
@@ -191,293 +199,289 @@ object DynamicHHJ {
     while (it.hasNext && ((p.frames.nonEmpty && p.frames.last.free >= it.head.size) || p.takeFrame(pool)))
       p.insertInto(p.frames.size - 1, it.next())
 
-  /** Joins a file pair a block at a time: `refill` loads the build side
-    * into M-1 frames, a hash table is built on them, and the probe side is
-    * re-scanned once per block. §8.3's in-memory join and §8.1's block
-    * nested loop join are both this call; a §8.3 build file that passed
-    * the byte test but needs more than M-1 frames joins in two or more
-    * blocks.
+  /** One join: every round shares its config, its spill store and its
+    * counters, as in the paper's operator (§2.3).
     */
-  private def blockJoin[T](
-      b: SpillFile[T],
-      p: SpillFile[T],
-      cfg: HHJConfig,
-      stats: HHJStats,
-      emit: (JoinRec[T], JoinRec[T]) => Unit,
-  ): Unit = {
-    val pool  = new FramePool(cfg.memoryFrames - 1)
-    val block = new PartitionState[T](0, cfg.frameSize)
-    val bIt   = readBack(b, stats).buffered
-    val batch = new Array[JoinRec[T]](ProbeBatch)
-    while (bIt.hasNext) {
-      refill(block, bIt, pool)
-      stats.buildRecordsProcessed += block.recordsInMemory
-      val table = new HashTable(block.frames)
-      val pIt   = readBack(p, stats)
-      while (pIt.hasNext) {
-        var m = 0
-        while (m < ProbeBatch && pIt.hasNext) { batch(m) = pIt.next(); m += 1 }
-        stats.probeRecordsProcessed += m
-        table.probeBatch(batch, m, stats, emit)
+  private final class Join[T](cfg: HHJConfig, store: SpillStore[T]) {
+    val stats = new HHJStats
+
+    /** Streams a spill file back and notes the read: every spill read. */
+    private def readBack(f: SpillFile[T]): Iterator[JoinRec[T]] = {
+      stats.io.noteRead(f.frames, f.bytes)
+      f.readAll()
+    }
+
+    // ----------------------------------------------------------------
+    // The block join over a spilled file pair
+    // ----------------------------------------------------------------
+
+    /** Joins a file pair a block at a time: `refill` loads the build side
+      * into M-1 frames, a hash table is built on them, and the probe side
+      * is re-scanned once per block. §8.3's in-memory join and §8.1's
+      * block nested loop join are both this call; a §8.3 build file that
+      * passed the byte test but needs more than M-1 frames joins in two or
+      * more blocks.
+      */
+    private def blockJoin(b: SpillFile[T], p: SpillFile[T], emit: (JoinRec[T], JoinRec[T]) => Unit): Unit = {
+      val pool  = new FramePool(cfg.memoryFrames - 1)
+      val block = new PartitionState[T](0, cfg.frameSize)
+      val bIt   = readBack(b).buffered
+      while (bIt.hasNext) {
+        refill(block, bIt, pool)
+        stats.buildRecordsProcessed += block.recordsInMemory
+        val table = new HashTable(block.frames, stats, emit)
+        val pIt   = readBack(p)
+        while (pIt.hasNext) { stats.probeRecordsProcessed += 1; table.probe(pIt.next()) }
+        table.probePending()
+        block.releaseFrames(pool)
       }
-      block.releaseFrames(pool)
-    }
-    stats.peakFrames = math.max(stats.peakFrames, pool.peak)
-  }
-
-  // ------------------------------------------------------------------
-  // Recursion over spilled (build, probe) file pairs
-  // ------------------------------------------------------------------
-
-  /** Joins one spilled pair; both files hold records (see `runRound`). */
-  private def processPair[T](
-      buildFile: SpillFile[T],
-      probeFile: SpillFile[T],
-      parentBuildBytes: Long,
-      depth: Int,
-      cfg: HHJConfig,
-      store: SpillStore[T],
-      stats: HHJStats,
-      emit: (JoinRec[T], JoinRec[T]) => Unit,
-  ): Unit = {
-    stats.maxDepthReached = math.max(stats.maxDepthReached, depth)
-    // §8.2 role reversal: sizes are known now; the smaller side builds. The
-    // caller's emit contract is (originalBuildRec, originalProbeRec), so a
-    // reversal must re-orient the callback for everything below this point.
-    val reverse = cfg.roleReversal && probeFile.bytes < buildFile.bytes
-    val (b, p)  = if (reverse) (probeFile, buildFile) else (buildFile, probeFile)
-    val em      = if (reverse) (x: JoinRec[T], y: JoinRec[T]) => emit(y, x) else emit
-    if (reverse) stats.roleReversals += 1
-
-    var pairs = Seq.empty[(SpillFile[T], SpillFile[T], Long)]
-    if (cfg.inMemoryHashJoin && b.bytes * MemFudge <= cfg.memoryFrames.toLong * cfg.frameSize) {
-      // §8.3: skip partitioning, hash-join directly in memory.
-      stats.inMemoryRounds += 1
-      blockJoin(b, p, cfg, stats, em)
-    } else if (depth >= MaxDepth || b.bytes > (1.0 - BailOutShrinkage) * parentBuildBytes) {
-      // §8.1 bail-out: hashing is not shrinking the input — the join
-      // attribute is pathologically skewed. Fall back to BNLJ.
-      stats.bnljRounds += 1
-      blockJoin(b, p, cfg, stats, em)
-    } else {
-      val numP = PartitionRule.forRound(cfg.partitionRule, b.bytes, cfg.memoryFrames, cfg.frameSize)
-      pairs = runRound(readBack(b, stats), readBack(p, stats), numP, depth, Some(b.bytes), cfg, store, stats, em)
-    }
-    b.delete(); p.delete()
-    pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth + 1, cfg, store, stats, em) }
-  }
-
-  // ------------------------------------------------------------------
-  // One partitioned round: dynamic build phase + probe phase
-  // ------------------------------------------------------------------
-
-  /** Runs one build+probe round over iterators; returns the spilled
-    * (buildFile, probeFile, thisRoundBuildBytes) pairs for recursion.
-    */
-  private def runRound[T](
-      buildIt: Iterator[JoinRec[T]],
-      probeIt: Iterator[JoinRec[T]],
-      numPartitions: Int,
-      depth: Int,
-      totalBuildBytes: Option[Long],
-      cfg: HHJConfig,
-      store: SpillStore[T],
-      stats: HHJStats,
-      emit: (JoinRec[T], JoinRec[T]) => Unit,
-  ): Seq[(SpillFile[T], SpillFile[T], Long)] = {
-    stats.rounds += 1
-    val P = numPartitions
-    require(P >= 2 && P < cfg.memoryFrames, s"partitions=$P must be in [2, memoryFrames)")
-
-    val pool       = new FramePool(cfg.memoryFrames)
-    val parts      = Array.tabulate(P)(new PartitionState[T](_, cfg.frameSize))
-    val insertion  = cfg.insertion()
-    val victim     = cfg.victim()
-    val seed       = cfg.seed + depth
-    val buildFiles = new Array[SpillFile[T]](P)
-    val probeFiles = new Array[SpillFile[T]](P)
-    var roundBuild = 0L // build bytes read so far
-    // Set from every spilled build record; made on the round's first build
-    // flush, so a round that spills nothing has none.
-    var filter: KeyFilter = null
-
-    /** A partition has spilled iff it has a build file. The per-record
-      * tests in `tryPlace` and the probe loop spell this out: calling it
-      * there made the non-spilling engine_fit join ~9% slower (4-core VM).
-      */
-    def spilled(p: PartitionState[T]): Boolean = buildFiles(p.id) != null
-    def numSpilled: Int                        = buildFiles.count(_ != null)
-
-    /** Write a partition's in-memory frames, in order, to its file in
-      * `files` (`buildFiles` or `probeFiles`) as one write, and return the
-      * frames to the pool. Spilling a victim, a G-S steal, a full output
-      * buffer on either side and the end-of-build and end-of-probe drains
-      * are all this one step.
-      */
-    def flush(p: PartitionState[T], files: Array[SpillFile[T]]): Unit = {
-      val n     = p.frames.size.toLong
-      val bytes = p.bytesInMemory
-      val build = files eq buildFiles
-      if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
-      if (build && cfg.probeFilter) {
-        if (filter == null) filter = new KeyFilter(cfg.memoryFrames.toLong * cfg.frameSize, seed)
-        p.frames.foreach(f => filter.addKeys(f.keyArray, f.recordCount))
-      }
-      files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
-      stats.io.noteWrite(n, bytes)
-      if (build) stats.buildIo.noteWrite(n, bytes)
-      p.releaseFrames(pool)
+      stats.peakFrames = math.max(stats.peakFrames, pool.peak)
     }
 
-    /** Free at least one frame. `incoming` is the partition id of the record
-      * that triggered the pressure.
-      */
-    def makeRoom(incoming: Int): Unit = {
-      val candidates = parts.iterator.filter(p => !spilled(p) && p.frames.nonEmpty).toIndexedSeq
-      if (cfg.growth == GrowthPolicy.GS) {
-        // Steal: flush the spilled partition holding the most frames first
-        // (the lowest id among ties). A 1-frame accumulation is not worth
-        // stealing while a resident victim exists — flushing it would
-        // fragment G-S's sequential chunks into the very single-frame writes
-        // the policy avoids.
-        val best = parts.iterator.filter(p => spilled(p) && p.frames.nonEmpty).maxByOption(_.frames.size)
-        if (best.exists(b => b.frames.size >= 2 || candidates.isEmpty)) { flush(best.get, buildFiles); return }
-      }
-      if (candidates.isEmpty)
-        throw new IllegalStateException(
-          s"no victim available: P=$P M=${cfg.memoryFrames} — memory too small for partition count")
-      val ctx = VictimContext(P, numSpilled, incoming, totalBuildBytes.map(t => math.max(0L, t - roundBuild)))
-      flush(parts(victim.choose(candidates, ctx)), buildFiles)
-      stats.victimSpills += 1
+    // ----------------------------------------------------------------
+    // Recursion over spilled (build, probe) file pairs
+    // ----------------------------------------------------------------
+
+    /** Joins one spilled pair; both files hold records (see `runRound`). */
+    def processPair(
+        buildFile: SpillFile[T],
+        probeFile: SpillFile[T],
+        parentBuildBytes: Long,
+        depth: Int,
+        emit: (JoinRec[T], JoinRec[T]) => Unit,
+    ): Unit = {
+      stats.maxDepthReached = math.max(stats.maxDepthReached, depth)
+      // §8.2 role reversal: sizes are known now; the smaller side builds. The
+      // caller's emit contract is (originalBuildRec, originalProbeRec), so a
+      // reversal must re-orient the callback for everything below this point.
+      val reverse = cfg.roleReversal && probeFile.bytes < buildFile.bytes
+      val (b, p)  = if (reverse) (probeFile, buildFile) else (buildFile, probeFile)
+      val em      = if (reverse) (x: JoinRec[T], y: JoinRec[T]) => emit(y, x) else emit
+      if (reverse) stats.roleReversals += 1
+
+      // §8.3: a build side that fits skips partitioning and is hash-joined
+      // in memory. §8.1 bail-out: at the depth cap, or when hashing is not
+      // shrinking the input (the join attribute is pathologically skewed),
+      // the pair falls back to BNLJ. Both are one block join.
+      val fits = cfg.inMemoryHashJoin && b.bytes * MemFudge <= cfg.memoryFrames.toLong * cfg.frameSize
+      val pairs =
+        if (fits || depth >= MaxDepth || b.bytes > (1.0 - BailOutShrinkage) * parentBuildBytes) {
+          if (fits) stats.inMemoryRounds += 1 else stats.bnljRounds += 1
+          blockJoin(b, p, em)
+          Nil
+        } else runRound(readBack(b), readBack(p), depth, Some(b.bytes), em)
+      b.delete(); p.delete()
+      pairs.foreach { case (bf, pf, bytes) => processPair(bf, pf, bytes, depth + 1, em) }
     }
 
-    /** Put `r` into spilled `p`'s one output buffer, its only frame: when
-      * `r` does not fit, the buffer is flushed to `files` (one random write)
-      * and its frame taken back from the pool at once, which cannot fail as
-      * the flush just returned it. False when `p` has no buffer yet and the
-      * pool has no frame.
-      */
-    def buffer(p: PartitionState[T], r: JoinRec[T], files: Array[SpillFile[T]]): Boolean = {
-      if (p.frames.nonEmpty && p.frames(0).free < r.size) flush(p, files)
-      if (p.frames.isEmpty && !p.takeFrame(pool)) return false
-      p.insertInto(0, r)
-      true
-    }
+    // ----------------------------------------------------------------
+    // One partitioned round: dynamic build phase + probe phase
+    // ----------------------------------------------------------------
 
-    /** Put build record `r` into `p` without destaging anything; false when
-      * `r` needs a new frame and the pool has none. A spilled NG-NS
-      * partition uses its output buffer; resident and G-S spilled partitions
-      * search their frames with the insertion policy, and with
-      * `search = false` the record goes straight into a new frame.
+    /** Runs one build+probe round over iterators; returns the spilled
+      * (buildFile, probeFile, thisRoundBuildBytes) pairs for recursion.
+      * `buildBytes`, the size of a later round's build file, sets the
+      * round's partition count by `PartitionRule.forRound` and Best-Match's
+      * remaining build bytes; round 1 (`None`) takes the rule's first-round
+      * count.
       */
-    def tryPlace(p: PartitionState[T], r: JoinRec[T], search: Boolean): Boolean =
-      if (buildFiles(p.id) != null && cfg.growth == GrowthPolicy.NGNS) buffer(p, r, buildFiles)
-      else {
-        var idx = if (search) insertion.chooseFrame(p, r.size, stats.search) else -1
-        if (idx < 0) {
-          if (!p.takeFrame(pool)) return false
-          idx = p.frames.size - 1
+    def runRound(
+        buildIt: Iterator[JoinRec[T]],
+        probeIt: Iterator[JoinRec[T]],
+        depth: Int,
+        buildBytes: Option[Long],
+        emit: (JoinRec[T], JoinRec[T]) => Unit,
+    ): Seq[(SpillFile[T], SpillFile[T], Long)] = {
+      stats.rounds += 1
+      val P = buildBytes.fold(cfg.partitionRule.firstRound)(
+        PartitionRule.forRound(cfg.partitionRule, _, cfg.memoryFrames, cfg.frameSize))
+      require(P >= 2 && P < cfg.memoryFrames, s"partitions=$P must be in [2, memoryFrames)")
+
+      val pool       = new FramePool(cfg.memoryFrames)
+      val parts      = Array.tabulate(P)(new PartitionState[T](_, cfg.frameSize))
+      val insertion  = cfg.insertion()
+      val victim     = cfg.victim()
+      val seed       = cfg.seed + depth
+      val buildFiles = new Array[SpillFile[T]](P)
+      val probeFiles = new Array[SpillFile[T]](P)
+      var roundBuild = 0L // build bytes read so far
+      // Set from every spilled build record; made on the round's first build
+      // flush, so a round that spills nothing has none.
+      var filter: KeyFilter = null
+
+      /** A partition has spilled iff it has a build file. The per-record
+        * tests in `tryPlace` and the probe loop spell this out: calling it
+        * there made the non-spilling engine_fit join ~9% slower (4-core VM).
+        */
+      def spilled(p: PartitionState[T]): Boolean = buildFiles(p.id) != null
+      def numSpilled: Int                        = buildFiles.count(_ != null)
+
+      /** Write a partition's in-memory frames, in order, to its file in
+        * `files` (`buildFiles` or `probeFiles`) as one write, and return the
+        * frames to the pool. Spilling a victim, a G-S steal, a full output
+        * buffer on either side and the end-of-build and end-of-probe drains
+        * are all this one step.
+        */
+      def flush(p: PartitionState[T], files: Array[SpillFile[T]]): Unit = {
+        val n     = p.frames.size.toLong
+        val bytes = p.bytesInMemory
+        val build = files eq buildFiles
+        if (files(p.id) == null) files(p.id) = store.newFile(s"d$depth-p${p.id}-${if (build) "build" else "probe"}")
+        if (build && cfg.probeFilter) {
+          if (filter == null) filter = new KeyFilter(cfg.memoryFrames.toLong * cfg.frameSize, seed)
+          p.frames.foreach(f => filter.addKeys(f.keyArray, f.recordCount))
         }
-        p.insertInto(idx, r)
-        insertion.inserted(p, idx, r.size)
+        files(p.id).append(p.frames.iterator.flatMap(_.iterator), n)
+        stats.io.noteWrite(n, bytes)
+        if (build) stats.buildIo.noteWrite(n, bytes)
+        p.releaseFrames(pool)
+      }
+
+      /** Free at least one frame. `incoming` is the partition id of the record
+        * that triggered the pressure.
+        */
+      def makeRoom(incoming: Int): Unit = {
+        val candidates = parts.iterator.filter(p => !spilled(p) && p.frames.nonEmpty).toIndexedSeq
+        if (cfg.growth == GrowthPolicy.GS) {
+          // Steal: flush the spilled partition holding the most frames first
+          // (the lowest id among ties). A 1-frame accumulation is not worth
+          // stealing while a resident victim exists — flushing it would
+          // fragment G-S's sequential chunks into the very single-frame writes
+          // the policy avoids.
+          val best = parts.iterator.filter(p => spilled(p) && p.frames.nonEmpty).maxByOption(_.frames.size)
+          if (best.exists(b => b.frames.size >= 2 || candidates.isEmpty)) { flush(best.get, buildFiles); return }
+        }
+        if (candidates.isEmpty)
+          throw new IllegalStateException(
+            s"no victim available: P=$P M=${cfg.memoryFrames} — memory too small for partition count")
+        val ctx = VictimContext(P, numSpilled, incoming, buildBytes.map(t => math.max(0L, t - roundBuild)))
+        flush(parts(victim.choose(candidates, ctx)), buildFiles)
+        stats.victimSpills += 1
+      }
+
+      /** Put `r` into spilled `p`'s one output buffer, its only frame: when
+        * `r` does not fit, the buffer is flushed to `files` (one random write)
+        * and its frame taken back from the pool at once, which cannot fail as
+        * the flush just returned it. False when `p` has no buffer yet and the
+        * pool has no frame.
+        */
+      def buffer(p: PartitionState[T], r: JoinRec[T], files: Array[SpillFile[T]]): Boolean = {
+        if (p.frames.nonEmpty && p.frames(0).free < r.size) flush(p, files)
+        if (p.frames.isEmpty && !p.takeFrame(pool)) return false
+        p.insertInto(0, r)
         true
       }
 
-    /** Place a build record, destaging to make room if the pool is empty.
-      * The partition's frames were already searched, so after `makeRoom`
-      * the record takes a new frame — also when the victim was `p` itself
-      * (self-victim), which then continues as a spilled partition.
-      */
-    def place(p: PartitionState[T], r: JoinRec[T]): Unit =
-      if (!tryPlace(p, r, search = true)) {
-        makeRoom(p.id)
-        if (!tryPlace(p, r, search = false)) throw new IllegalStateException("makeRoom freed no frames")
+      /** Put build record `r` into `p` without destaging anything; false when
+        * `r` needs a new frame and the pool has none. A spilled NG-NS
+        * partition uses its output buffer; resident and G-S spilled partitions
+        * search their frames with the insertion policy, and with
+        * `search = false` the record goes straight into a new frame.
+        */
+      def tryPlace(p: PartitionState[T], r: JoinRec[T], search: Boolean): Boolean =
+        if (buildFiles(p.id) != null && cfg.growth == GrowthPolicy.NGNS) buffer(p, r, buildFiles)
+        else {
+          var idx = if (search) insertion.chooseFrame(p, r.size, stats.search) else -1
+          if (idx < 0) {
+            if (!p.takeFrame(pool)) return false
+            idx = p.frames.size - 1
+          }
+          p.insertInto(idx, r)
+          insertion.inserted(p, idx, r.size)
+          true
+        }
+
+      /** Place a build record, destaging to make room if the pool is empty.
+        * The partition's frames were already searched, so after `makeRoom`
+        * the record takes a new frame — also when the victim was `p` itself
+        * (self-victim), which then continues as a spilled partition.
+        */
+      def place(p: PartitionState[T], r: JoinRec[T]): Unit =
+        if (!tryPlace(p, r, search = true)) {
+          makeRoom(p.id)
+          if (!tryPlace(p, r, search = false)) throw new IllegalStateException("makeRoom freed no frames")
+        }
+
+      // ---------------- Build phase ----------------
+      while (buildIt.hasNext) {
+        val r = buildIt.next()
+        require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
+        stats.buildRecordsProcessed += 1
+        stats.search.insertions += 1
+        roundBuild += r.size
+        place(parts(SplitFun.partition(r.key, seed, P)), r)
       }
 
-    // ---------------- Build phase ----------------
-    while (buildIt.hasNext) {
-      val r = buildIt.next()
-      require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
-      stats.buildRecordsProcessed += 1
-      stats.search.insertions += 1
-      roundBuild += r.size
-      place(parts(SplitFun.partition(r.key, seed, P)), r)
-    }
-
-    // Round-1 metrics are sampled before the end-of-build drain.
-    if (depth == 0) {
-      stats.round1Partitions = P
-      var frames = 0; var fullness = 0.0; var resident = 0L
-      parts.foreach { p =>
-        p.frames.foreach { f => frames += 1; fullness += f.fullness }
-        if (!spilled(p)) resident += p.bytesInMemory
-      }
-      stats.round1Frames = frames
-      stats.round1AvgFullness = if (frames == 0) Double.NaN else fullness / frames
-      stats.round1ResidentBytes = resident
-      stats.round1SpilledPartitions = numSpilled
-    }
-
-    // Drain spilled partitions' remaining in-memory frames.
-    parts.foreach(p => if (spilled(p) && p.frames.nonEmpty) flush(p, buildFiles))
-
-    // §8.5: reload spilled build partitions into leftover memory, largest
-    // build file first (ties go to the lowest id), leaving one probe output
-    // buffer per partition that stays spilled. `refill` takes at most the
-    // file's frame count, which is what the pass tests. One pass decides: a
-    // reload takes at least one frame (spilled partitions hold none after
-    // the drain) and leaves one fewer partition spilled, so the room never
-    // grows, and a partition that did not fit on its turn never fits later.
-    if (cfg.reloadSpilled)
-      for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
-           if buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
-        val f  = buildFiles(p.id)
-        val it = readBack(f, stats).buffered
-        refill(p, it, pool)
-        require(!it.hasNext, s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
-        f.delete(); buildFiles(p.id) = null
-        stats.reloadedPartitions += 1
+      // Round-1 metrics are sampled before the end-of-build drain.
+      if (depth == 0) {
+        stats.round1Partitions = P
+        var frames = 0; var fullness = 0.0; var resident = 0L
+        parts.foreach { p =>
+          p.frames.foreach { f => frames += 1; fullness += f.fullness }
+          if (!spilled(p)) resident += p.bytesInMemory
+        }
+        stats.round1Frames = frames
+        stats.round1AvgFullness = if (frames == 0) Double.NaN else fullness / frames
+        stats.round1ResidentBytes = resident
+        stats.round1SpilledPartitions = numSpilled
       }
 
-    // Reserve one probe output buffer per spilled partition, which takes
-    // its frame on its first probe record; under G-S the residents may have
-    // grown into the whole pool, so destage until the buffers fit.
-    while (pool.available < numSpilled) makeRoom(incoming = -1)
+      // Drain spilled partitions' remaining in-memory frames.
+      parts.foreach(p => if (spilled(p) && p.frames.nonEmpty) flush(p, buildFiles))
 
-    // ---------------- Hash table over resident partitions ----------------
-    val table = new HashTable(parts.filterNot(spilled).flatMap(_.frames))
+      // §8.5: reload spilled build partitions into leftover memory, largest
+      // build file first (ties go to the lowest id), leaving one probe output
+      // buffer per partition that stays spilled. `refill` takes at most the
+      // file's frame count, which is what the pass tests. One pass decides: a
+      // reload takes at least one frame (spilled partitions hold none after
+      // the drain) and leaves one fewer partition spilled, so the room never
+      // grows, and a partition that did not fit on its turn never fits later.
+      if (cfg.reloadSpilled)
+        for (p <- parts.filter(spilled).sortBy(p => -buildFiles(p.id).bytes)
+             if buildFiles(p.id).frames <= pool.available - (numSpilled - 1)) {
+          val f  = buildFiles(p.id)
+          val it = readBack(f).buffered
+          refill(p, it, pool)
+          require(!it.hasNext, s"reload of partition ${p.id} needs more than its file's ${f.frames} frames")
+          f.delete(); buildFiles(p.id) = null
+          stats.reloadedPartitions += 1
+        }
 
-    // ---------------- Probe phase ----------------
-    // Resident-partition records are probed in batches, in probe order;
-    // a spilled partition's go to its output buffer unless the filter shows
-    // that no spilled build record has their key.
-    val batch   = new Array[JoinRec[T]](ProbeBatch)
-    var batched = 0
-    while (probeIt.hasNext) {
-      val r = probeIt.next()
-      require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
-      stats.probeRecordsProcessed += 1
-      val pid = SplitFun.partition(r.key, seed, P)
-      if (buildFiles(pid) == null) {
-        batch(batched) = r
-        batched += 1
-        if (batched == ProbeBatch) { table.probeBatch(batch, batched, stats, emit); batched = 0 }
-      } else if (filter != null && filter.testing && !filter.mayMatch(r.key)) stats.probeFiltered += 1
-      else require(buffer(parts(pid), r, probeFiles), "probe buffer reservation failed")
+      // Reserve one probe output buffer per spilled partition, which takes
+      // its frame on its first probe record; under G-S the residents may have
+      // grown into the whole pool, so destage until the buffers fit.
+      while (pool.available < numSpilled) makeRoom(incoming = -1)
+
+      // ---------------- Hash table over resident partitions ----------------
+      val table = new HashTable(parts.filterNot(spilled).flatMap(_.frames), stats, emit)
+
+      // ---------------- Probe phase ----------------
+      // Resident-partition records are probed in batches, in probe order;
+      // a spilled partition's go to its output buffer unless the filter shows
+      // that no spilled build record has their key.
+      while (probeIt.hasNext) {
+        val r = probeIt.next()
+        require(r.size <= cfg.frameSize, s"record of ${r.size} B exceeds frame size ${cfg.frameSize}")
+        stats.probeRecordsProcessed += 1
+        val pid = SplitFun.partition(r.key, seed, P)
+        if (buildFiles(pid) == null) table.probe(r)
+        else if (filter != null && filter.testing && !filter.mayMatch(r.key)) stats.probeFiltered += 1
+        else require(buffer(parts(pid), r, probeFiles), "probe buffer reservation failed")
+      }
+      table.probePending()
+
+      // Pair up the spilled files for the next rounds. Every file was created
+      // by a write of at least one record, and only spilled partitions have
+      // probe files; a spilled build partition whose probe side is empty
+      // joins to nothing — drop it.
+      val pairs = ArrayBuffer.empty[(SpillFile[T], SpillFile[T], Long)]
+      for (pid <- 0 until P if buildFiles(pid) != null) {
+        if (parts(pid).frames.nonEmpty) flush(parts(pid), probeFiles)
+        if (probeFiles(pid) != null) pairs += ((buildFiles(pid), probeFiles(pid), roundBuild))
+        else buildFiles(pid).delete()
+      }
+      stats.peakFrames = math.max(stats.peakFrames, pool.peak)
+      pairs.toSeq
     }
-    table.probeBatch(batch, batched, stats, emit)
-
-    // Pair up the spilled files for the next rounds. Every file was created
-    // by a write of at least one record, and only spilled partitions have
-    // probe files; a spilled build partition whose probe side is empty
-    // joins to nothing — drop it.
-    val pairs = ArrayBuffer.empty[(SpillFile[T], SpillFile[T], Long)]
-    for (pid <- 0 until P if buildFiles(pid) != null) {
-      if (parts(pid).frames.nonEmpty) flush(parts(pid), probeFiles)
-      if (probeFiles(pid) != null) pairs += ((buildFiles(pid), probeFiles(pid), roundBuild))
-      else buildFiles(pid).delete()
-    }
-    stats.peakFrames = math.max(stats.peakFrames, pool.peak)
-    pairs.toSeq
   }
 }

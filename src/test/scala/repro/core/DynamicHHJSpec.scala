@@ -211,11 +211,11 @@ class DynamicHHJSpec extends AnyFunSuite {
     // hold 12.
     val hotB  = Vector.tabulate(30)(i => JoinRec[Integer](42L, 600, Int.box(i)))
     val hotP  = Vector.tabulate(30)(i => JoinRec[Integer](42L, 600, Int.box(100000 + i)))
-    val store = new ReadCountingStore
+    val store = new DynamicHHJPropertySpec.LedgerStore(TestData.spillStore())
     val (got, stats) = runJoin(hotB, hotP, baseCfg(memoryFrames = 8, partitions = 3).copy(roleReversal = false), store)
     assert(got == TestData.naiveJoin(hotB, hotP))
     assert(stats.rounds == 1 && stats.bnljRounds == 1 && stats.inMemoryRounds == 0, counters(stats))
-    assert(store.maxReads == 5, "the probe file is scanned once per block")
+    assert(store.files.map(_.readCount).max == 5, "the probe file is scanned once per block")
     assert(stats.peakFrames <= 8)
   }
 
@@ -250,11 +250,11 @@ class DynamicHHJSpec extends AnyFunSuite {
     // has M - 1 = 7.
     val b     = Vector.tabulate(9)(i => JoinRec[Integer](7L, 600, Int.box(i)))
     val p     = Vector.tabulate(12)(i => JoinRec[Integer](7L + i % 2, 600, Int.box(100000 + i)))
-    val store = new ReadCountingStore
+    val store = new DynamicHHJPropertySpec.LedgerStore(TestData.spillStore())
     val (got, stats) = runJoin(b, p, baseCfg(memoryFrames = 8, partitions = 3).copy(roleReversal = false), store)
     assert(got == TestData.naiveJoin(b, p))
     assert(stats.inMemoryRounds == 1 && stats.bnljRounds == 0, counters(stats))
-    assert(store.maxReads >= 2, "expected a §8.3 join of two or more blocks")
+    assert(store.files.map(_.readCount).max >= 2, "expected a §8.3 join of two or more blocks")
     assert(stats.peakFrames <= 8, s"peakFrames=${stats.peakFrames}")
   }
 
@@ -443,25 +443,6 @@ class DynamicHHJSpec extends AnyFunSuite {
 
   // ---------------- Hash table edge cases ----------------
 
-  /** Counts how often each spill file is read back: only a block join
-    * (§8.1 or §8.3) of two or more blocks reads a file twice.
-    */
-  private final class ReadCountingStore extends SpillStore[Integer] {
-    private val inner = TestData.spillStore()
-    var maxReads      = 0
-    def newFile(tag: String): SpillFile[Integer] = new SpillFile[Integer] {
-      private val f     = inner.newFile(tag)
-      private var reads = 0
-      def append(recs: Iterator[JoinRec[Integer]], nFrames: Long): Unit = f.append(recs, nFrames)
-      def readAll(): Iterator[JoinRec[Integer]] = { reads += 1; maxReads = math.max(maxReads, reads); f.readAll() }
-      def bytes: Long    = f.bytes
-      def records: Long  = f.records
-      def frames: Long   = f.frames
-      def delete(): Unit = f.delete()
-    }
-    def close(): Unit = inner.close()
-  }
-
   test("hash table edge keys: every probe record meets its key's build records in insertion order") {
     val hot = 0x7777L
     val keys = Seq(0L, -1L, Long.MinValue, Long.MaxValue) ++
@@ -483,14 +464,16 @@ class DynamicHHJSpec extends AnyFunSuite {
     val inMemory = baseCfg(memoryFrames = 256, partitions = 8)
     val bnlj     = baseCfg(memoryFrames = 8, partitions = 3)
     for ((name, cfg) <- Seq("resident round" -> resident, "§8.3" -> inMemory, "§8.1" -> bnlj)) {
-      val store          = new ReadCountingStore
+      val store          = new DynamicHHJPropertySpec.LedgerStore(TestData.spillStore())
       val (pairs, stats) = emitted(b, p, cfg, store)
       name match {
         case "resident round" => assert(stats.rounds == 1 && stats.io.bytesWritten == 0, name)
         case "§8.3"           => assert(stats.inMemoryRounds > 0, name)
         case _ =>
           assert(stats.round1SpilledPartitions == stats.round1Partitions, s"$name: round 1 should spill everything")
-          assert(stats.bnljRounds > 0 && store.maxReads >= 2, s"$name: expected a BNLJ of two or more blocks")
+          assert(
+            stats.bnljRounds > 0 && store.files.map(_.readCount).max >= 2,
+            s"$name: expected a BNLJ of two or more blocks")
       }
       assert(pairs.toSet == TestData.naiveJoin(b, p), name)
       val byProbe = pairs.groupBy(_._2)
@@ -524,17 +507,19 @@ class DynamicHHJSpec extends AnyFunSuite {
     val buildIds = build.groupBy(_.key).map { case (k, rs) => k -> rs.map(_.payload.intValue) }
     // Resident and spilled-partition probe records alternate, so batches
     // straddle the flushes of partition 1's 25-record probe buffer. Every
-    // fourth resident record has the hot key; k0(46..59) and k1(100..119)
-    // have no build records.
-    val spilledProbes = 80
-    for (resident <- Seq(0, 1, 31, 32, 33, 65)) {
+    // fourth resident record has the hot key; k0(46..59) has no build
+    // records. Fewer than 100 spilled probe records all have build
+    // records, so the filter drops none and the §8.3 round probes each
+    // count at the same batch edges as the resident round.
+    val edges = Seq(0, 1, 31, 32, 33, 65)
+    for (resident <- edges; spilledProbes <- edges.tail :+ 80) {
       val keys = (0 until math.max(resident, spilledProbes)).flatMap { i =>
         (if (i < resident) Seq(if (i % 4 == 0) hot else k0(1 + i * 7 % 59)) else Nil) ++
           (if (i < spilledProbes) Seq(k1(i % 120)) else Nil)
       }
       val probe          = keys.zipWithIndex.map { case (k, i) => rec(k, 100000 + i) }.toVector
       val (pairs, stats) = emitted(build, probe, cfg)
-      val name           = s"$resident resident probe records"
+      val name           = s"$resident resident and $spilledProbes spilled probe records"
       assert(stats.round1SpilledPartitions == 1 && stats.round1ResidentBytes == 40L * b0.size, name)
       assert(stats.inMemoryRounds == 1 && stats.probeSpillBytes == 40L * spilledProbes, name)
       // Round 1 emits the resident records' matches in probe order; round 2
