@@ -8,7 +8,6 @@ import repro.core.hhj.{DynamicHHJ, HHJConfig, HHJStats, PartitionRule, Shapiro}
 import repro.core.insertion._
 import repro.core.spill.{DiskSpillStore, Serde}
 import repro.core.victim.VictimPolicy
-import repro.sim.IdealSpill
 import repro.storage.{Device, ResponseTimeModel}
 import repro.wisconsin.{KeyDist, RecordSpec, WisconsinGen}
 
@@ -324,7 +323,7 @@ object Studies {
       // hash-table overhead; this engine does not model that overhead, so
       // the equivalent "minimum possible spill" here uses fudge 1.0
       // (see DESIGN.md). Ratios stay >= ~1 as in the paper's figures.
-      val ideal = IdealSpill.idealBuildSpillBytes(dataBytes, memoryFrames, FrameSize, fudge = 1.0)
+      val ideal = Shapiro.idealBuildSpillBytes(dataBytes, memoryFrames, FrameSize, fudge = 1.0)
       VictimRow(
         mkVictim().name,
         ratio,

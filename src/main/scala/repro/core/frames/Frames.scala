@@ -94,12 +94,12 @@ final class FramePool(val totalFrames: Int) {
 }
 
 /** Per-partition build-phase state: the in-memory frame array (paper §2.3,
-  * "each partition uses an array to hold its in-memory frames") and the
-  * Next-Fit insertion cursor. The frames are the one record of what the
-  * partition holds in memory: its byte and record counts are sums over
-  * them, and every frame is taken from and returned to the pool here.
-  * Whether the partition has spilled is not kept here: it has spilled iff
-  * the engine holds a build file for it.
+  * "each partition uses an array to hold its in-memory frames"). The
+  * frames are the one record of what the partition holds in memory: its
+  * byte and record counts are sums over them, and every frame is taken
+  * from and returned to the pool here. Whether the partition has spilled
+  * is not kept here: it has spilled iff the engine holds a build file for
+  * it.
   */
 final class PartitionState[T](val id: Int, val frameSize: Int) {
   /** In-memory frames. For a spilled partition this is at most one frame,
@@ -107,12 +107,6 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
     * in the build phase.
     */
   val frames = ArrayBuffer.empty[Frame[T]]
-
-  /** Next-Fit state: index of the frame that received the previous record,
-    * and that record's size (§5, Next-Fit's guided search).
-    */
-  var cursor         = -1
-  var lastInsertSize = 0
 
   // Summed in a loop: `flush` and the victim policies call these, and a
   // fold or foreach allocates on every call.
@@ -130,13 +124,6 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
     s
   }
 
-  /** Total free bytes across in-memory frames (fragmentation measure). */
-  def freeBytesInFrames: Long = frames.size.toLong * frameSize - bytesInMemory
-
-  /** Average free bytes per in-memory frame; 0 if no frames. */
-  def avgFreePerFrame: Double =
-    if (frames.isEmpty) 0.0 else freeBytesInFrames.toDouble / frames.size
-
   def insertInto(idx: Int, r: JoinRec[T]): Unit =
     require(frames(idx).insert(r), s"frame $idx of partition $id rejected a ${r.size}-byte record")
 
@@ -144,12 +131,10 @@ final class PartitionState[T](val id: Int, val frameSize: Int) {
   def takeFrame(pool: FramePool): Boolean =
     pool.tryAcquire() && { frames += new Frame[T](frameSize); true }
 
-  /** Returns every frame to `pool` (after their contents were written out)
-    * and resets the Next-Fit cursor.
-    */
+  /** Returns every frame to `pool`, after their contents were written out. */
   def releaseFrames(pool: FramePool): Unit = {
     pool.release(frames.size)
-    frames.clear(); cursor = -1
+    frames.clear()
   }
 }
 

@@ -6,8 +6,8 @@ package repro.core.hhj
   * size R frames, memory M frames, fudge factor F. The paper's Table 1 (its
   * only numeric evaluation table) reports max(2, B) with F = 1.3; we
   * reproduce that exactly (`table1Partitions`). The paper's ideal-spill
-  * simulator of §7.1 instead uses F = 1.4 (`IdealSpill`'s default, which
-  * `Studies.victimStudy` lowers to 1.0; DESIGN §3).
+  * simulator of §7.1 instead uses F = 1.4 (`idealBuildSpillBytes`'s
+  * default, which `Studies.victimStudy` lowers to 1.0; DESIGN §3).
   */
 object Shapiro {
 
@@ -39,5 +39,28 @@ object Shapiro {
     val eq2 = math.max(2L, diskPartitions(buildFrames, memoryFrames, Fudge))
     val lo  = math.max(2, math.min(lowerBound, (memoryFrames - 1).toInt))
     math.min(math.max(eq2, lo), memoryFrames - 1).toInt
+  }
+
+  /** "Ideal spilling": the minimum build bytes that must spill given build
+    * size and memory, computed the way the paper's baseline simulator does
+    * — an original HHJ with perfect a priori size information and a fudge
+    * factor of 1.4 (§7.1).
+    */
+  def idealBuildSpillBytes(
+      buildBytes: Long,
+      memoryFrames: Int,
+      frameSize: Int,
+      fudge: Double = 1.4,
+  ): Long = {
+    val capacity = memoryFrames.toLong * frameSize
+    if (buildBytes * fudge <= capacity) 0L
+    else {
+      val buildFrames   = math.ceil(buildBytes.toDouble / frameSize).toLong
+      val b             = math.max(1L, diskPartitions(buildFrames, memoryFrames.toLong, fudge))
+      // One output frame per disk partition; what remains holds the
+      // memory-resident partition (shrunk by the fudge factor).
+      val residentBytes = math.max(0L, (memoryFrames - b) * frameSize.toLong) / fudge
+      math.max(0L, buildBytes - residentBytes.toLong)
+    }
   }
 }

@@ -1,5 +1,7 @@
 package repro.core.insertion
 
+import scala.collection.mutable
+
 import repro.core.frames.PartitionState
 
 /** Counters for the CPU effort of partition insertion (paper §5: frames
@@ -16,7 +18,7 @@ final class SearchStats {
   * or report that a new frame must be appended.
   *
   * Implementations are instantiated per join round and may keep state
-  * (Next-Fit keeps its cursor on [[PartitionState]]).
+  * (Next-Fit keeps a cursor per partition id).
   */
 trait InsertionPolicy {
   def name: String
@@ -103,9 +105,16 @@ case object BestFit extends InsertionPolicy {
   */
 final class NextFit extends InsertionPolicy {
   val name = "Next-Fit"
+
+  /** Per partition id: the frame that received the previous record and
+    * that record's size (§5, Next-Fit's guided search); `(-1, 0)` before
+    * the partition's first record.
+    */
+  private val cursors = mutable.HashMap.empty[Int, (Int, Int)]
+
   def chooseFrame[T](p: PartitionState[T], size: Int, stats: SearchStats): Int = {
-    val fs = p.frames
-    val c  = p.cursor
+    val fs                  = p.frames
+    val (c, lastInsertSize) = cursors.getOrElse(p.id, (-1, 0))
     // Newer frames from `from` upward.
     def scanUp(from: Int): Int = {
       var i = from
@@ -118,16 +127,15 @@ final class NextFit extends InsertionPolicy {
     }
     // First record (or cursor invalidated by a spill): newest → oldest.
     if (c < 0 || c >= fs.size) scanDown(p, size, fs.size - 1, 0, stats)
-    else if (size >= p.lastInsertSize) scanUp(c)
+    else if (size >= lastInsertSize) scanUp(c)
     else {
       val i = scanDown(p, size, c, 0, stats)
       if (i >= 0) i else scanUp(c + 1)
     }
   }
 
-  override def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit = {
-    p.cursor = idx; p.lastInsertSize = size
-  }
+  override def inserted[T](p: PartitionState[T], idx: Int, size: Int): Unit =
+    cursors(p.id) = (idx, size)
 }
 
 /** Random(%p): probe up to `pct` of the partition's frames uniformly at

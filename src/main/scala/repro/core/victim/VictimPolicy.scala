@@ -133,7 +133,8 @@ case object HalfEmpty extends VictimPolicy {
   */
 case object LeastFragmentation extends VictimPolicy {
   val name = "Least-Fragmentation"
-  def choose[T](cs: IndexedSeq[PartitionState[T]], ctx: VictimContext): Int = argMin(cs)(_.avgFreePerFrame)
+  def choose[T](cs: IndexedSeq[PartitionState[T]], ctx: VictimContext): Int =
+    argMin(cs)(c => (c.frames.size.toLong * c.frameSize - c.bytesInMemory).toDouble / c.frames.size)
 }
 
 /** Alternate between spilling the smallest and the largest partition. */

@@ -7,7 +7,6 @@ import repro.core.frames.JoinRec
   * large records at a given ratio.
   */
 final case class RecordSpec(
-    name: String,
     smallMin: Int,
     smallMax: Int,
     largeMin: Int,
@@ -27,15 +26,15 @@ final case class RecordSpec(
 
 object RecordSpec {
   /** Table 2, "All Small Records": 700-1500 B. */
-  val AllSmall = RecordSpec("All-Small", 700, 1500, 0, 0, 0.0)
+  val AllSmall = RecordSpec(700, 1500, 0, 0, 0.0)
 
   /** Table 2, "1-Large Record Coexist": large records of 18-20 KB — one per
     * 32 KB frame — at `ratio` of the population.
     */
-  def oneLarge(ratio: Double) = RecordSpec(s"1-Large(${(ratio * 100).round}%)", 700, 1500, 18 * 1024, 20 * 1024, ratio)
+  def oneLarge(ratio: Double) = RecordSpec(700, 1500, 18 * 1024, 20 * 1024, ratio)
 
   /** Table 2, "3-Large Records Coexist": large records of 8-10 KB. */
-  def threeLarge(ratio: Double) = RecordSpec(s"3-Large(${(ratio * 100).round}%)", 700, 1500, 8 * 1024, 10 * 1024, ratio)
+  def threeLarge(ratio: Double) = RecordSpec(700, 1500, 8 * 1024, 10 * 1024, ratio)
 }
 
 /** Join-key distribution of a generated dataset. */

@@ -113,13 +113,13 @@ class FramesSpec extends AnyFunSuite {
     assert(p.bytesInMemory == 300 && p.recordsInMemory == 2)
   }
 
-  test("releaseFrames returns every frame to the pool and resets the cursor") {
+  test("releaseFrames returns every frame to the pool") {
     val pool = new FramePool(4)
     val p    = new PartitionState[Null](3, 256)
-    p.takeFrame(pool); p.takeFrame(pool); p.cursor = 1
+    p.takeFrame(pool); p.takeFrame(pool)
     p.insertInto(0, JoinRec(1L, 100, null))
     p.releaseFrames(pool)
-    assert(p.frames.isEmpty && p.cursor == -1)
+    assert(p.frames.isEmpty)
     assert(p.bytesInMemory == 0 && p.recordsInMemory == 0)
     assert(pool.used == 0)
   }
@@ -156,20 +156,6 @@ class FramesSpec extends AnyFunSuite {
         }
       }
     }
-  }
-
-  test("freeBytesInFrames and avgFreePerFrame reflect fragmentation") {
-    val pool = new FramePool(2)
-    val p    = new PartitionState[Null](0, 100)
-    p.takeFrame(pool); p.takeFrame(pool)
-    p.insertInto(0, JoinRec(1L, 60, null))
-    p.insertInto(1, JoinRec(2L, 20, null))
-    assert(p.freeBytesInFrames == 40 + 80)
-    assert(p.avgFreePerFrame == 60.0)
-  }
-
-  test("avgFreePerFrame is zero with no frames") {
-    assert(new PartitionState[Null](0, 100).avgFreePerFrame == 0.0)
   }
 
   test("insertInto a full frame throws") {

@@ -8,9 +8,12 @@ import repro.core.insertion._
 class InsertionPolicySpec extends AnyFunSuite {
 
   /** A partition whose frames have the given free space (capacity 1000). */
-  private def partitionWithFree(free: Int*): PartitionState[Null] = {
+  private def partitionWithFree(free: Int*): PartitionState[Null] = partition(0, free: _*)
+
+  /** Partition `id` whose frames have the given free space (capacity 1000). */
+  private def partition(id: Int, free: Int*): PartitionState[Null] = {
     val pool = new FramePool(Int.MaxValue)
-    val p    = new PartitionState[Null](0, 1000)
+    val p    = new PartitionState[Null](id, 1000)
     free.foreach { fr =>
       p.takeFrame(pool)
       if (fr < 1000) p.insertInto(p.frames.size - 1, JoinRec(0L, 1000 - fr, null))
@@ -139,7 +142,7 @@ class InsertionPolicySpec extends AnyFunSuite {
   test("NextFit resumes from the previous insertion point for larger records") {
     val p  = partitionWithFree(400, 400, 400)
     val nf = new NextFit
-    p.cursor = 1; p.lastInsertSize = 50
+    nf.inserted(p, 1, 50)
     // larger than previous → search toward newer frames starting at cursor
     assert(nf.chooseFrame(p, 100, stats) == 1)
     p.frames(1).insert(JoinRec(0L, 350, null)) // fill frame 1
@@ -149,14 +152,14 @@ class InsertionPolicySpec extends AnyFunSuite {
   test("NextFit searches older frames first for smaller records") {
     val p  = partitionWithFree(400, 0, 400)
     val nf = new NextFit
-    p.cursor = 1; p.lastInsertSize = 300
+    nf.inserted(p, 1, 300)
     assert(nf.chooseFrame(p, 100, stats) == 0)
   }
 
   test("NextFit falls back to newer frames when older ones are full") {
     val p  = partitionWithFree(0, 0, 400)
     val nf = new NextFit
-    p.cursor = 1; p.lastInsertSize = 300
+    nf.inserted(p, 1, 300)
     assert(nf.chooseFrame(p, 100, stats) == 2)
   }
 
@@ -164,11 +167,20 @@ class InsertionPolicySpec extends AnyFunSuite {
     assert(new NextFit().chooseFrame(new PartitionState[Null](0, 1000), 10, stats) == -1)
   }
 
-  test("NextFit cursor is maintained by the inserted() hook") {
-    val p  = partitionWithFree(400)
+  test("NextFit keeps one cursor per partition") {
+    val a  = partition(0, 400, 400, 400)
+    val b  = partition(1, 400, 400, 400)
     val nf = new NextFit
-    nf.inserted(p, 0, 123)
-    assert(p.cursor == 0 && p.lastInsertSize == 123)
+    nf.inserted(a, 0, 50)
+    nf.inserted(b, 2, 50)
+    // Larger records: each partition scans up from its own cursor.
+    assert(nf.chooseFrame(a, 100, stats) == 0)
+    assert(nf.chooseFrame(b, 100, stats) == 2)
+    nf.inserted(a, 1, 300)
+    nf.inserted(b, 2, 60)
+    // A smaller record scans down from a's cursor; b's scans up from 2.
+    assert(nf.chooseFrame(a, 100, stats) == 1)
+    assert(nf.chooseFrame(b, 100, stats) == 2)
   }
 
   // ---------------- Random(%p) ----------------

@@ -19,6 +19,14 @@ class VictimPolicySpec extends AnyFunSuite {
       p
     }.toIndexedSeq
 
+  /** Partition `id` with one frame per entry of `used`, holding one record of that size. */
+  private def framesUsed(id: Int, used: Int*): PartitionState[Null] = {
+    val pool = new FramePool(Int.MaxValue)
+    val p    = new PartitionState[Null](id, 32 * 1024)
+    used.foreach { u => p.takeFrame(pool); p.insertInto(p.frames.size - 1, JoinRec(0L, u, null)) }
+    p
+  }
+
   private def ctx(numP: Int = 8, spilled: Int = 0, incoming: Int = -1, remaining: Option[Long] = None) =
     VictimContext(numP, spilled, incoming, remaining)
 
@@ -106,6 +114,19 @@ class VictimPolicySpec extends AnyFunSuite {
     // id 0: one frame ~88% full; id 1: one frame ~61% full.
     val cs = parts((0, 1, 29000), (1, 2, 10000))
     assert(LeastFragmentation.choose(cs, ctx()) == 0)
+  }
+
+  test("LeastFragmentation averages the free bytes over every frame") {
+    // id 0 has 11,101 B free per frame on average, though its newest frame
+    // is 85% free and it has the most free bytes in all; id 1 has 14,768.
+    val cs = IndexedSeq(framesUsed(0, 30000, 30000, 5000), framesUsed(1, 18000))
+    assert(LeastFragmentation.choose(cs, ctx()) == 0)
+  }
+
+  test("LeastFragmentation ties break toward the lowest id") {
+    // 12,768 B free per frame on average in both.
+    val cs = IndexedSeq(framesUsed(3, 20000), framesUsed(5, 20000, 20000))
+    assert(LeastFragmentation.choose(cs, ctx()) == 3)
   }
 
   test("LowHigh alternates smallest then largest") {

@@ -3,7 +3,6 @@ package repro.sim
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.hhj.Shapiro
-import repro.sim.IdealSpill
 
 class ShapiroSpec extends AnyFunSuite {
 
@@ -62,15 +61,15 @@ class ShapiroSpec extends AnyFunSuite {
   // ---------------- Ideal-spill baseline ----------------
 
   test("ideal spill is zero when the build (with fudge) fits in memory") {
-    assert(IdealSpill.idealBuildSpillBytes(mb(64), 4096, frameSize) == 0)
+    assert(Shapiro.idealBuildSpillBytes(mb(64), 4096, frameSize) == 0)
   }
 
   test("ideal spill is positive once the build exceeds memory/fudge") {
-    assert(IdealSpill.idealBuildSpillBytes(mb(128), 4096, frameSize) > 0)
+    assert(Shapiro.idealBuildSpillBytes(mb(128), 4096, frameSize) > 0)
   }
 
   test("ideal spill grows with the build size and approaches the full input") {
-    val spills = Seq(mb(256), mb(512), mb(1024), mb(4096)).map(b => IdealSpill.idealBuildSpillBytes(b, 4096, frameSize))
+    val spills = Seq(mb(256), mb(512), mb(1024), mb(4096)).map(b => Shapiro.idealBuildSpillBytes(b, 4096, frameSize))
     assert(spills == spills.sorted)
     // For build >> memory, nearly everything must spill.
     assert(spills.last > mb(4096) * 90 / 100)
@@ -78,7 +77,7 @@ class ShapiroSpec extends AnyFunSuite {
 
   test("ideal spill is never negative nor more than the build size") {
     for (bmb <- Seq(1L, 16L, 100L, 1000L)) {
-      val s = IdealSpill.idealBuildSpillBytes(mb(bmb), 512, frameSize)
+      val s = Shapiro.idealBuildSpillBytes(mb(bmb), 512, frameSize)
       assert(s >= 0 && s <= mb(bmb))
     }
   }

@@ -20,9 +20,22 @@ metric ``BENCHMARK.json`` gates:
   deterministic per seed, so anything short of all of them is a change in
   behaviour).
 
-Every metric also shows the change's median against the parent's, and
-``WORSE`` when it is worse by more than the metric's bound. Each checkout
-builds its own program on its first run.
+Every metric also shows the change's median against the parent's. Every
+metric but ``io_mb`` also shows
+
+- ``spread``: the parent's interquartile range as a share of its median;
+- ``second worse k/n``: in how many pairs the side that ran second read
+  worse than the side that ran first (a side that loses most pairs when it
+  runs second, whichever checkout it is, points at drift on the machine,
+  not at the change).
+
+A metric is flagged ``UNRESOLVED`` when its spread exceeds the metric's
+bound, unless every change run beats every parent run: runs that spread
+that wide cannot show a change within the bound, so the metric is neither
+worse nor unchanged. Otherwise it is flagged ``WORSE`` when the change's
+median is worse than the parent's by more than the bound. ``io_mb`` is
+flagged ``WORSE`` on its median alone. Each checkout builds its own program
+on its first run.
 
 ``--json FILE`` writes every run, in the form a perf change commits as its
 ``BENCH_<name>.json`` trajectory point::
@@ -51,6 +64,8 @@ import sys
 CLAIM = "join_s_p50"
 # Deterministic per seed: compared for identity, not spread.
 EXACT = {"io_mb"}
+# Each side of a pair to the other.
+SIDES = {"parent": "change", "change": "parent"}
 
 
 def run(checkout, workload, seed, seconds):
@@ -108,6 +123,7 @@ def summarize(workload, rows, metrics):
         par = [r["parent"][name] for r in done]
         chg = [r["change"][name] for r in done]
         pq, cq = quartiles(par), quartiles(chg)
+        beats = (lambda a, b: a < b) if better == "lower" else (lambda a, b: a > b)
         worse = (cq[1] - pq[1]) if better == "lower" else (pq[1] - cq[1])
         flag = " WORSE" if pq[1] and worse / abs(pq[1]) > bound else ""
         rel = f"{(cq[1] / pq[1] - 1):+.1%}" if pq[1] else "n/a"
@@ -115,9 +131,14 @@ def summarize(workload, rows, metrics):
             same = sum(r["parent"][name] == r["change"][name] for r in done)
             cells.append(f"{name} identical on {same}/{len(done)} seeds ({rel}){flag}")
             continue
-        cell = f"{name} {pq[1]:.3f} [{pq[0]:.3f} {pq[2]:.3f}] -> {cq[1]:.3f} [{cq[0]:.3f} {cq[2]:.3f}] ({rel}){flag}"
+        spread = (pq[2] - pq[0]) / abs(pq[1]) if pq[1] else 0.0
+        if spread > bound and not all(beats(c, p) for c in chg for p in par):
+            flag = " UNRESOLVED"
+        second = sum(beats(r[r["first"]][name], r[SIDES[r["first"]]][name]) for r in done)
+        cell = (f"{name} {pq[1]:.3f} [{pq[0]:.3f} {pq[2]:.3f}] -> {cq[1]:.3f} [{cq[0]:.3f} {cq[2]:.3f}] ({rel}), "
+                f"spread {spread:.1%}, second worse {second}/{len(done)}{flag}")
         if name == CLAIM:
-            wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(par, chg))
+            wins = sum(beats(c, p) for p, c in zip(par, chg))
             gap = -worse
             iqr = pq[2] - pq[0]
             gain = len(done) == len(rows) and wins >= 0.9 * len(done) and gap > iqr
